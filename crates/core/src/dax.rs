@@ -15,13 +15,14 @@
 use crate::error::{Span, WmsError};
 use crate::symbols::{JobId, SymbolTable};
 use crate::workflow::{AbstractWorkflow, Job, LogicalFile};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
 
-fn escape_xml(s: &str) -> String {
+pub(crate) fn escape_xml(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -36,12 +37,40 @@ fn escape_xml(s: &str) -> String {
     out
 }
 
-fn unescape_xml(s: &str) -> String {
-    s.replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&quot;", "\"")
-        .replace("&apos;", "'")
-        .replace("&amp;", "&")
+/// The five predefined XML entities and the characters they stand for.
+const ENTITIES: [(&str, char); 5] = [
+    ("&lt;", '<'),
+    ("&gt;", '>'),
+    ("&quot;", '"'),
+    ("&apos;", '\''),
+    ("&amp;", '&'),
+];
+
+/// Undoes [`escape_xml`] in one left-to-right pass. Text without `&`
+/// is borrowed as it is; an `&` that starts no known entity is kept.
+fn unescape_xml(s: &str) -> Cow<'_, str> {
+    let Some(first) = s.find('&') else {
+        return Cow::Borrowed(s);
+    };
+    let mut out = String::with_capacity(s.len());
+    out.push_str(&s[..first]);
+    let mut rest = &s[first..];
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        rest = &rest[amp..];
+        match ENTITIES.iter().find(|(e, _)| rest.starts_with(e)) {
+            Some(&(e, c)) => {
+                out.push(c);
+                rest = &rest[e.len()..];
+            }
+            None => {
+                out.push('&');
+                rest = &rest[1..];
+            }
+        }
+    }
+    out.push_str(rest);
+    Cow::Owned(out)
 }
 
 /// Serializes a workflow as a DAX document.
@@ -103,124 +132,149 @@ pub fn to_dax(wf: &AbstractWorkflow) -> String {
 // Scanning
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum XmlEvent {
+/// One scanner event. Names and text borrow from the document; the
+/// attributes of an `Open` tag are in [`XmlScanner::attrs`] until the
+/// next event.
+#[derive(Debug)]
+enum XmlEvent<'a> {
     Open {
-        name: String,
-        attrs: Vec<(String, String)>,
+        name: &'a str,
         self_closing: bool,
     },
-    Close(String),
-    Text(String),
+    Close(&'a str),
+    /// Trimmed, unescaped character data.
+    Text(Cow<'a, str>),
 }
 
+/// A zero-copy scanner over the XML subset DAX needs.
+///
+/// The scanner keeps only a byte offset. Line and column are computed
+/// from an offset when an error is built, so the hot path pays nothing
+/// for positions. Columns count bytes, not characters.
 struct XmlScanner<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
-    line: usize,
-    col: usize,
-    /// Span of the `<` that opened the most recent tag; semantic
+    /// Offset of the `<` that opened the most recent tag; semantic
     /// errors about a tag point here rather than at the scan cursor.
-    tag: Span,
+    tag: usize,
+    /// Attributes of the most recent `Open` tag, in document order.
+    attrs: Vec<(&'a str, Cow<'a, str>)>,
+}
+
+fn is_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b':' | b'.')
 }
 
 impl<'a> XmlScanner<'a> {
-    fn new(s: &'a str) -> Self {
+    fn new(src: &'a str) -> Self {
         XmlScanner {
-            bytes: s.as_bytes(),
+            src,
             pos: 0,
-            line: 1,
-            col: 1,
-            tag: Span::none(),
+            tag: 0,
+            attrs: Vec::new(),
         }
     }
 
-    fn span(&self) -> Span {
-        Span::new(self.line, self.col)
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
+    /// Offset of the next `b` at or after the cursor.
+    fn find_byte(&self, b: u8) -> Option<usize> {
+        self.bytes()[self.pos..]
+            .iter()
+            .position(|&x| x == b)
+            .map(|i| self.pos + i)
+    }
+
+    /// One-based line and byte column of `offset`.
+    fn span_at(&self, offset: usize) -> Span {
+        let before = &self.bytes()[..offset];
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        let line = before.iter().filter(|&&b| b == b'\n').count() + 1;
+        Span::new(line, offset - line_start + 1)
+    }
+
+    fn err_at(&self, offset: usize, reason: impl Into<String>) -> WmsError {
+        WmsError::DaxParse {
+            span: self.span_at(offset),
+            reason: reason.into(),
+        }
     }
 
     fn err(&self, reason: impl Into<String>) -> WmsError {
-        WmsError::DaxParse {
-            span: self.span(),
-            reason: reason.into(),
-        }
+        self.err_at(self.pos, reason)
+    }
+
+    /// An error about the byte at the cursor, reported just past it:
+    /// the offending byte counts as read.
+    fn err_past(&self, reason: impl Into<String>) -> WmsError {
+        self.err_at((self.pos + 1).min(self.src.len()), reason)
     }
 
     fn tag_err(&self, reason: impl Into<String>) -> WmsError {
-        WmsError::DaxParse {
-            span: self.tag,
-            reason: reason.into(),
-        }
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.bytes.get(self.pos).copied()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(b)
+        self.err_at(self.tag, reason)
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
-    fn skip_until(&mut self, needle: &str) -> Result<(), WmsError> {
-        let n = needle.as_bytes();
-        while self.pos + n.len() <= self.bytes.len() {
-            if &self.bytes[self.pos..self.pos + n.len()] == n {
-                for _ in 0..n.len() {
-                    self.bump();
-                }
-                return Ok(());
+    /// Moves past the next `needle`. When there is none, the error
+    /// points at the last offset where it could still have started.
+    fn skip_past(&mut self, needle: &str) -> Result<(), WmsError> {
+        match self.src[self.pos..].find(needle) {
+            Some(i) => {
+                self.pos += i + needle.len();
+                Ok(())
             }
-            self.bump();
+            None => {
+                let last_start = (self.src.len() + 1).saturating_sub(needle.len());
+                Err(self.err_at(
+                    self.pos.max(last_start),
+                    format!("unterminated construct, expected {needle:?}"),
+                ))
+            }
         }
-        Err(self.err(format!("unterminated construct, expected {needle:?}")))
     }
 
-    fn read_name(&mut self) -> String {
+    fn read_name(&mut self) -> &'a str {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b':' || b == b'.' {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned()
+        let len = self.bytes()[start..]
+            .iter()
+            .position(|&b| !is_name_byte(b))
+            .unwrap_or(self.src.len() - start);
+        self.pos += len;
+        &self.src[start..self.pos]
     }
 
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
+            self.pos += 1;
         }
     }
 
-    fn read_attrs(&mut self) -> Result<(Vec<(String, String)>, bool), WmsError> {
-        let mut attrs = Vec::new();
+    /// Reads a start tag's attributes into `self.attrs`; returns
+    /// whether the tag is self-closing.
+    fn read_attrs(&mut self) -> Result<bool, WmsError> {
+        self.attrs.clear();
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'/') => {
-                    self.bump();
+                    self.pos += 1;
                     if self.peek() == Some(b'>') {
-                        self.bump();
-                        return Ok((attrs, true));
+                        self.pos += 1;
+                        return Ok(true);
                     }
                     return Err(self.err("stray '/' in tag"));
                 }
                 Some(b'>') => {
-                    self.bump();
-                    return Ok((attrs, false));
-                }
-                Some(b'?') => {
-                    // Inside a processing instruction; caller handles.
-                    self.bump();
+                    self.pos += 1;
+                    return Ok(false);
                 }
                 Some(_) => {
                     let name = self.read_name();
@@ -231,24 +285,22 @@ impl<'a> XmlScanner<'a> {
                     if self.peek() != Some(b'=') {
                         return Err(self.err(format!("attribute {name:?} missing '='")));
                     }
-                    self.bump();
+                    self.pos += 1;
                     self.skip_ws();
                     let quote = self
-                        .bump()
+                        .peek()
                         .filter(|&q| q == b'"' || q == b'\'')
-                        .ok_or_else(|| self.err("attribute value must be quoted"))?;
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == quote {
-                            break;
-                        }
-                        self.bump();
+                        .ok_or_else(|| self.err_past("attribute value must be quoted"))?;
+                    self.pos += 1;
+                    let end = self.find_byte(quote).ok_or_else(|| {
+                        self.err_at(self.src.len(), "unterminated attribute value")
+                    })?;
+                    let value = unescape_xml(&self.src[self.pos..end]);
+                    self.pos = end + 1;
+                    if self.attrs.iter().any(|&(k, _)| k == name) {
+                        return Err(self.tag_err(format!("duplicate attribute {name:?}")));
                     }
-                    let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-                    if self.bump() != Some(quote) {
-                        return Err(self.err("unterminated attribute value"));
-                    }
-                    attrs.push((name, unescape_xml(&raw)));
+                    self.attrs.push((name, value));
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
@@ -256,44 +308,31 @@ impl<'a> XmlScanner<'a> {
     }
 
     /// Next event, or `None` at clean end of input.
-    fn next_event(&mut self) -> Result<Option<XmlEvent>, WmsError> {
+    fn next_event(&mut self) -> Result<Option<XmlEvent<'a>>, WmsError> {
         loop {
             // Text before the next '<'.
             let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'<' {
-                    break;
-                }
-                self.bump();
+            self.pos = self.find_byte(b'<').unwrap_or(self.src.len());
+            let text = self.src[start..self.pos].trim();
+            if !text.is_empty() {
+                return Ok(Some(XmlEvent::Text(unescape_xml(text))));
             }
-            if self.pos > start {
-                let text = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-                let trimmed = text.trim();
-                if !trimmed.is_empty() {
-                    return Ok(Some(XmlEvent::Text(unescape_xml(trimmed))));
-                }
-            }
-            if self.peek().is_none() {
+            if self.pos == self.src.len() {
                 return Ok(None);
             }
-            self.tag = self.span();
-            self.bump(); // consume '<'
+            self.tag = self.pos;
+            self.pos += 1; // consume '<'
             match self.peek() {
-                Some(b'?') => {
-                    self.skip_until("?>")?;
-                    continue;
-                }
-                Some(b'!') => {
-                    self.skip_until("-->")?;
-                    continue;
-                }
+                Some(b'?') => self.skip_past("?>")?,
+                Some(b'!') => self.skip_past("-->")?,
                 Some(b'/') => {
-                    self.bump();
+                    self.pos += 1;
                     let name = self.read_name();
                     self.skip_ws();
-                    if self.bump() != Some(b'>') {
-                        return Err(self.err(format!("malformed closing tag </{name}")));
+                    if self.peek() != Some(b'>') {
+                        return Err(self.err_past(format!("malformed closing tag </{name}")));
                     }
+                    self.pos += 1;
                     return Ok(Some(XmlEvent::Close(name)));
                 }
                 Some(_) => {
@@ -301,12 +340,8 @@ impl<'a> XmlScanner<'a> {
                     if name.is_empty() {
                         return Err(self.err("expected tag name after '<'"));
                     }
-                    let (attrs, self_closing) = self.read_attrs()?;
-                    return Ok(Some(XmlEvent::Open {
-                        name,
-                        attrs,
-                        self_closing,
-                    }));
+                    let self_closing = self.read_attrs()?;
+                    return Ok(Some(XmlEvent::Open { name, self_closing }));
                 }
                 None => return Err(self.err("dangling '<' at end of input")),
             }
@@ -318,11 +353,11 @@ impl<'a> XmlScanner<'a> {
 // Parsing DAX
 // ---------------------------------------------------------------------------
 
-fn attr<'a>(attrs: &'a [(String, String)], key: &str) -> Option<&'a str> {
+fn attr<'s>(attrs: &'s [(&str, Cow<'_, str>)], key: &str) -> Option<&'s str> {
     attrs
         .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+        .find(|&&(k, _)| k == key)
+        .map(|(_, v)| v.as_ref())
 }
 
 /// Parses a DAX document back into an [`AbstractWorkflow`].
@@ -351,7 +386,8 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
     // without this a million-job DAX costs O(n²) to parse.
     let mut ids: SymbolTable<JobId> = SymbolTable::new();
     let mut adag_closed = false;
-    let mut cur_job: Option<Job> = None;
+    // The job being read, with the offset of its `<job` tag.
+    let mut cur_job: Option<(Job, usize)> = None;
     let mut in_argument = false;
     let mut cur_child: Option<String> = None;
     let mut pending_edges: Vec<(String, String)> = Vec::new(); // (parent, child)
@@ -375,24 +411,20 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
 
     while let Some(ev) = scan.next_event()? {
         match ev {
-            XmlEvent::Open {
-                name,
-                attrs,
-                self_closing,
-            } => match name.as_str() {
+            XmlEvent::Open { name, self_closing } => match name {
                 "adag" => {
-                    let wname = attr(&attrs, "name").unwrap_or("workflow").to_string();
+                    let wname = attr(&scan.attrs, "name").unwrap_or("workflow").to_string();
                     wf = Some(AbstractWorkflow::new(wname));
                 }
                 "job" => {
                     if wf.is_none() {
                         return Err(scan.tag_err("<job> outside <adag>"));
                     }
-                    let id = attr(&attrs, "id")
+                    let id = attr(&scan.attrs, "id")
                         .ok_or_else(|| scan.tag_err("<job> missing id attribute"))?;
-                    let tname = attr(&attrs, "name").unwrap_or(id);
+                    let tname = attr(&scan.attrs, "name").unwrap_or(id);
                     let mut job = Job::new(id, tname);
-                    if let Some(rt) = attr(&attrs, "runtime") {
+                    if let Some(rt) = attr(&scan.attrs, "runtime") {
                         job.runtime_hint = rt
                             .parse()
                             .map_err(|_| scan.tag_err(format!("bad runtime {rt:?}")))?;
@@ -401,7 +433,7 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
                         let w = wf.as_mut().expect("checked above");
                         push_job(w, &mut ids, job).map_err(|e| scan.tag_err(e.to_string()))?;
                     } else {
-                        cur_job = Some(job);
+                        cur_job = Some((job, scan.tag));
                     }
                 }
                 "argument" => {
@@ -411,17 +443,17 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
                     in_argument = !self_closing;
                 }
                 "uses" => {
-                    let job = cur_job
+                    let (job, _) = cur_job
                         .as_mut()
                         .ok_or_else(|| scan.tag_err("<uses> outside <job>"))?;
-                    let file = attr(&attrs, "file")
+                    let file = attr(&scan.attrs, "file")
                         .ok_or_else(|| scan.tag_err("<uses> missing file attribute"))?;
-                    let size: u64 = attr(&attrs, "size")
+                    let size: u64 = attr(&scan.attrs, "size")
                         .unwrap_or("0")
                         .parse()
                         .map_err(|_| scan.tag_err("bad size attribute"))?;
                     let lf = LogicalFile::sized(file, size);
-                    match attr(&attrs, "link") {
+                    match attr(&scan.attrs, "link") {
                         Some("input") => job.inputs.push(lf),
                         Some("output") => job.outputs.push(lf),
                         other => {
@@ -432,29 +464,31 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
                     }
                 }
                 "child" => {
-                    let r =
-                        attr(&attrs, "ref").ok_or_else(|| scan.tag_err("<child> missing ref"))?;
+                    let r = attr(&scan.attrs, "ref")
+                        .ok_or_else(|| scan.tag_err("<child> missing ref"))?;
                     cur_child = Some(r.to_string());
                 }
                 "parent" => {
                     let child = cur_child
                         .clone()
                         .ok_or_else(|| scan.tag_err("<parent> outside <child>"))?;
-                    let r =
-                        attr(&attrs, "ref").ok_or_else(|| scan.tag_err("<parent> missing ref"))?;
+                    let r = attr(&scan.attrs, "ref")
+                        .ok_or_else(|| scan.tag_err("<parent> missing ref"))?;
                     pending_edges.push((r.to_string(), child));
                 }
                 other => {
                     return Err(scan.tag_err(format!("unexpected element <{other}>")));
                 }
             },
-            XmlEvent::Close(name) => match name.as_str() {
+            XmlEvent::Close(name) => match name {
                 "job" => {
-                    let job = cur_job.take().ok_or_else(|| scan.tag_err("stray </job>"))?;
+                    let (job, open) = cur_job.take().ok_or_else(|| scan.tag_err("stray </job>"))?;
                     let w = wf
                         .as_mut()
                         .ok_or_else(|| scan.tag_err("</job> outside <adag>"))?;
-                    push_job(w, &mut ids, job).map_err(|e| scan.tag_err(e.to_string()))?;
+                    // A duplicate id is reported at the `<job` that
+                    // declares it, not at its `</job>`.
+                    push_job(w, &mut ids, job).map_err(|e| scan.err_at(open, e.to_string()))?;
                 }
                 "argument" => in_argument = false,
                 "child" => cur_child = None,
@@ -464,14 +498,14 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
             },
             XmlEvent::Text(text) => {
                 if in_argument {
-                    let job = cur_job.as_mut().expect("in_argument implies job");
+                    let (job, _) = cur_job.as_mut().expect("in_argument implies job");
                     job.args.extend(text.split_whitespace().map(String::from));
                 }
             }
         }
     }
 
-    if let Some(job) = &cur_job {
+    if let Some((job, _)) = &cur_job {
         return Err(scan.err(format!("unclosed <job id={:?}> at end of input", job.id)));
     }
     if cur_child.is_some() {
@@ -642,6 +676,171 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn duplicate_job_span_points_at_the_open_tag_not_the_close() {
+        let text = "<adag name=\"w\">\n<job id=\"a\" name=\"t\"/>\n  <job id=\"a\" name=\"t\">\n    <argument>x</argument>\n  </job>\n</adag>";
+        match from_dax(text).unwrap_err() {
+            WmsError::DaxParse { span, reason } => {
+                assert_eq!(span, Span::new(3, 3));
+                assert!(reason.contains("duplicate job"), "{reason}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn question_mark_inside_a_start_tag_is_an_error() {
+        let text = "<adag name=\"w\">\n<job ? id=\"a\" name=\"t\"/>\n</adag>";
+        match from_dax(text).unwrap_err() {
+            WmsError::DaxParse { span, reason } => {
+                assert_eq!(span, Span::new(2, 6));
+                assert!(reason.contains("expected attribute name"), "{reason}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_attribute_is_an_error_at_its_tag() {
+        let text = "<adag name=\"w\">\n  <job id=\"a\" id=\"b\" name=\"t\"/>\n</adag>";
+        let err = from_dax(text).unwrap_err();
+        match &err {
+            WmsError::DaxParse { span, reason } => {
+                assert_eq!(*span, Span::new(2, 3));
+                assert!(reason.contains("duplicate attribute \"id\""), "{reason}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(
+            crate::lint::classify_parse_error(&err, "w.dax").code,
+            "E0101"
+        );
+    }
+
+    #[test]
+    fn unescape_borrows_plain_text_and_keeps_unknown_entities() {
+        assert!(matches!(unescape_xml("plain"), Cow::Borrowed("plain")));
+        assert_eq!(unescape_xml("a&amp;lt;b"), "a&lt;b");
+        assert_eq!(unescape_xml("&lt;&gt;&quot;&apos;&amp;"), "<>\"'&");
+        assert_eq!(unescape_xml("&nbsp; & &am"), "&nbsp; & &am");
+        assert_eq!(unescape_xml("é&amp;中"), "é&中");
+    }
+
+    /// Every scanner error keeps its reason and its span. Columns count
+    /// bytes, not characters, and a CR is an ordinary column. An
+    /// unterminated comment or PI points at the last offset where its
+    /// terminator could still have started.
+    #[test]
+    fn malformed_dax_table_pins_reason_and_span() {
+        let cases: &[(&str, Span, &str)] = &[
+            (
+                "<adag name=\"w\">\n<!-- never closed",
+                Span::new(2, 16),
+                "expected \"-->\"",
+            ),
+            ("<adag name=\"w\">\n<!", Span::new(2, 2), "expected \"-->\""),
+            (
+                "<?xml version=\"1.0\"\n<adag/>",
+                Span::new(2, 7),
+                "expected \"?>\"",
+            ),
+            (
+                "<adag name=\"w>\n</adag>",
+                Span::new(2, 8),
+                "unterminated attribute value",
+            ),
+            (
+                "<adag name=\"w\">\n  <job id \"a\"/>",
+                Span::new(2, 11),
+                "attribute \"id\" missing '='",
+            ),
+            (
+                "<adag name=w>",
+                Span::new(1, 13),
+                "attribute value must be quoted",
+            ),
+            (
+                "<adag name=\"w\">\n<job / id=\"a\"/>",
+                Span::new(2, 7),
+                "stray '/' in tag",
+            ),
+            (
+                "<adag name=\"w\">\n<",
+                Span::new(2, 2),
+                "dangling '<' at end of input",
+            ),
+            (
+                "<adag name=\"w\"",
+                Span::new(1, 15),
+                "unexpected end of input in tag",
+            ),
+            (
+                "<adag name=\"w\">\r\n\r\n  <job id=\"a\" =\"t\"/>",
+                Span::new(3, 15),
+                "expected attribute name",
+            ),
+            (
+                "<adag name=\"w\">\r\n<jobs/>\r\n</adag>",
+                Span::new(2, 1),
+                "unexpected element <jobs>",
+            ),
+            (
+                "<adag name=\"w\">\n\t<job\tname=\"x\"/>",
+                Span::new(2, 2),
+                "<job> missing id attribute",
+            ),
+            (
+                "\t\t<adag\tname=w>",
+                Span::new(1, 15),
+                "attribute value must be quoted",
+            ),
+            (
+                "<adag name=\"é\">\n<job id=\"ü\" name=\"✓\" bad/>",
+                Span::new(2, 28),
+                "attribute \"bad\" missing '='",
+            ),
+            (
+                "<!-- ĉu? -->\n<adag name=é>",
+                Span::new(2, 13),
+                "attribute value must be quoted",
+            ),
+            (
+                "<adag name=\"w\">\n</adag x>",
+                Span::new(2, 9),
+                "malformed closing tag </adag",
+            ),
+            (
+                "<adag name=\"w\">\n< job/>",
+                Span::new(2, 2),
+                "expected tag name after '<'",
+            ),
+            (
+                "<adag name=\"w\">\n<job id=\"a\" name=\"t\">\n",
+                Span::new(3, 1),
+                "unclosed <job id=\"a\"> at end of input",
+            ),
+            (
+                "<adag name=\"w\">\n  <job id=\"a\" runtime=\"x\"/>",
+                Span::new(2, 3),
+                "bad runtime \"x\"",
+            ),
+            (
+                "<adag name=\"w\">\n  </foo>",
+                Span::new(2, 3),
+                "unexpected closing </foo>",
+            ),
+        ];
+        let mut wrong = Vec::new();
+        for (text, want_span, want_reason) in cases {
+            match from_dax(text).unwrap_err() {
+                WmsError::DaxParse { span, reason }
+                    if span == *want_span && reason.contains(want_reason) => {}
+                other => wrong.push(format!("{text:?}: got {other:?}")),
+            }
+        }
+        assert!(wrong.is_empty(), "{wrong:#?}");
     }
 
     #[test]

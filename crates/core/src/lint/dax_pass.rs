@@ -34,12 +34,13 @@ impl Default for DaxLintOptions<'_> {
     }
 }
 
-/// Position of `id="<job>"` in the DAX text, if findable.
+/// Position of `id="<job>"` in the DAX text, if findable. The id is
+/// searched for in its escaped form, the way the DAX writer emits it.
 fn job_span(source: Option<&str>, id: &str) -> Span {
     let Some(src) = source else {
         return Span::none();
     };
-    let needle = format!("id=\"{id}\"");
+    let needle = format!("id=\"{}\"", crate::dax::escape_xml(id));
     let Some(pos) = src.find(&needle) else {
         return Span::none();
     };
@@ -428,6 +429,22 @@ mod tests {
         let diags = check_workflow(&wf, "w.dax", Some(&tc), &opts);
         assert_eq!(codes(&diags), ["W0405"]);
         assert_eq!(diags[0].span, Span::new(2, 8));
+    }
+
+    #[test]
+    fn spans_are_found_for_ids_that_need_escaping() {
+        let mut wf = AbstractWorkflow::new("w");
+        wf.add_job(Job::new("a&b<\"'>", "frobnicate")).unwrap();
+        let text = crate::dax::to_dax(&wf);
+        let wf = from_dax_unvalidated(&text).unwrap();
+        let (_, tc) = paper_catalogs();
+        let opts = DaxLintOptions {
+            source: Some(&text),
+            ..Default::default()
+        };
+        let diags = check_workflow(&wf, "w.dax", Some(&tc), &opts);
+        assert_eq!(codes(&diags), ["W0405"]);
+        assert_eq!(diags[0].span, Span::new(3, 8));
     }
 
     #[test]

@@ -54,6 +54,34 @@ fn layered_workflow(layers: usize, width: usize, edge_bits: u64) -> AbstractWork
     wf
 }
 
+/// Rebuilds `wf` with `tag` (markup characters, entity look-alikes
+/// and non-ASCII) woven into every id, file name and argument, a
+/// fractional runtime per job, and an explicit edge from each job to
+/// the job after it, so a DAX round trip must escape, unescape and
+/// re-resolve all of them.
+fn with_markup_names(wf: &AbstractWorkflow, tag: &str, bits: u64) -> AbstractWorkflow {
+    let mut out = AbstractWorkflow::new(format!("{}{tag}", wf.name));
+    let rename = |name: &str| format!("{tag}{name}{tag}");
+    for (i, job) in wf.jobs.iter().enumerate() {
+        let mut j = Job::new(rename(&job.id), rename(&job.transformation))
+            .arg(format!("--{tag}"))
+            .arg(rename(&i.to_string()))
+            .runtime(((bits >> (i % 32)) % 100_003) as f64 / 7.0);
+        for f in &job.inputs {
+            j = j.input(LogicalFile::sized(rename(&f.name), f.size_bytes + i as u64));
+        }
+        for f in &job.outputs {
+            j = j.output(LogicalFile::named(rename(&f.name)));
+        }
+        out.add_job(j).expect("renaming keeps ids unique");
+    }
+    for i in 1..out.jobs.len() {
+        out.add_edge(JobId::new(i - 1), JobId::new(i))
+            .expect("both ends exist");
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -79,18 +107,23 @@ proptest! {
 
     #[test]
     fn dax_round_trip_preserves_workflows(
-        layers in 1usize..5, width in 1usize..5, bits: u64
+        layers in 1usize..5, width in 1usize..5, bits: u64,
+        tag in "[a-z;#&<>\"'é中✓]{1,6}"
     ) {
-        let wf = layered_workflow(layers, width, bits);
+        let wf = with_markup_names(&layered_workflow(layers, width, bits), &tag, bits);
         let text = dax::to_dax(&wf);
         let back = dax::from_dax(&text).unwrap();
+        prop_assert_eq!(&back.name, &wf.name);
         prop_assert_eq!(back.jobs.len(), wf.jobs.len());
         for (a, b) in back.jobs.iter().zip(&wf.jobs) {
             prop_assert_eq!(&a.id, &b.id);
             prop_assert_eq!(&a.transformation, &b.transformation);
+            prop_assert_eq!(&a.args, &b.args);
+            prop_assert_eq!(a.runtime_hint, b.runtime_hint);
             prop_assert_eq!(&a.inputs, &b.inputs);
             prop_assert_eq!(&a.outputs, &b.outputs);
         }
+        prop_assert_eq!(&back.explicit_edges, &wf.explicit_edges);
         prop_assert_eq!(back.edges().unwrap(), wf.edges().unwrap());
     }
 

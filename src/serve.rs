@@ -342,8 +342,10 @@ fn preflight_dax(
     }
     // Layer 2 verification: a plan that cannot execute (a consumed
     // file with no producer, stage-in, or replica; a zero quota) is
-    // rejected here, not discovered as a failed member mid-round.
-    let wf = dax::from_dax(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    // rejected here, not discovered as a failed member mid-round. The
+    // workflow lint parsed is validated in place, not parsed again.
+    wf.validate()
+        .map_err(|e| format!("cannot parse {path}: {e}"))?;
     let sites = registry.site_catalog();
     let mut rc = ReplicaCatalog::new();
     rc.register("transcripts.fasta", "submit");

@@ -46,14 +46,14 @@ fn lint(args: &[&str]) -> (bool, Vec<String>, String) {
 
 #[test]
 fn every_dax_rule_has_a_fixture_that_triggers_exactly_it() {
-    for code in ["E0101", "E0102", "E0103", "E0104", "E0105"] {
-        let name = match code {
-            "E0101" => "e0101_syntax.dax",
-            "E0102" => "e0102_duplicate_job.dax",
-            "E0103" => "e0103_cycle.dax",
-            "E0104" => "e0104_conflicting_producers.dax",
-            _ => "e0105_unknown_edge.dax",
-        };
+    for (name, code) in [
+        ("e0101_syntax.dax", "E0101"),
+        ("e0101_duplicate_attribute.dax", "E0101"),
+        ("e0102_duplicate_job.dax", "E0102"),
+        ("e0103_cycle.dax", "E0103"),
+        ("e0104_conflicting_producers.dax", "E0104"),
+        ("e0105_unknown_edge.dax", "E0105"),
+    ] {
         let (ok, codes, out) = lint(&[&fixture(name)]);
         assert!(!ok, "{name} must exit nonzero (errors by default)");
         assert!(!codes.is_empty(), "{name} emitted nothing");
