@@ -719,6 +719,47 @@ mod tests {
     }
 
     #[test]
+    fn record_events_rejects_malformed_streams_with_stable_text() {
+        let started = WorkflowEvent::WorkflowStarted {
+            name: "w".into(),
+            site: "s".into(),
+            jobs: 1,
+            time: 0.0,
+        };
+        let declared = |id: usize| WorkflowEvent::JobDeclared {
+            job: crate::workflow::JobId::new(id),
+            name: format!("j{id}"),
+            transformation: "t".into(),
+            kind: JobKind::Compute,
+        };
+        let submitted = |id: usize| WorkflowEvent::Submitted {
+            job: crate::workflow::JobId::new(id),
+            attempt: 0,
+            time: 1.0,
+        };
+        let no_header = "event log parse error at line 0: stream has no workflow-started header";
+        let cases: [(&str, Vec<WorkflowEvent>, &str); 4] = [
+            ("empty", vec![], no_header),
+            ("headerless", vec![declared(0), submitted(0)], no_header),
+            (
+                "out of order",
+                vec![started.clone(), declared(1), submitted(1)],
+                "event log parse error at line 0: job 1 declared out of order (expected 0)",
+            ),
+            (
+                "undeclared",
+                vec![started, declared(0), submitted(5)],
+                "event log parse error at line 0: event references undeclared job 5 (1 declared)",
+            ),
+        ];
+        for (what, stream, want) in cases {
+            let mut registry = MetricsRegistry::new();
+            let err = record_events(&mut registry, &stream).unwrap_err();
+            assert_eq!(err.to_string(), want, "{what}");
+        }
+    }
+
+    #[test]
     fn phase_histogram_splits_waiting_install_kickstart() {
         let mut r = MetricsRegistry::new();
         let mut mon = MetricsMonitor::new(&mut r, "s", "1");

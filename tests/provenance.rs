@@ -17,6 +17,26 @@ use pegasus_wms::events::{self, EventSink, MonitorSink, WorkflowEvent};
 use pegasus_wms::monitor::{MultiMonitor, StatusMonitor, TimelineMonitor};
 use pegasus_wms::statistics::{compute, render_csv, render_summary_csv};
 
+/// Compares `content` with its committed golden under
+/// `tests/fixtures/observers/`, or rewrites the golden under
+/// `PEGASUS_BLESS=1`.
+fn check_golden(name: &str, content: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/observers")
+        .join(name);
+    if std::env::var_os("PEGASUS_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("create fixtures dir");
+        std::fs::write(&path, content).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with PEGASUS_BLESS=1"));
+    assert!(
+        golden == content,
+        "{name} is not byte-identical to its golden"
+    );
+}
+
 #[test]
 fn every_consumer_is_a_fold_of_one_event_stream() {
     // A smallish calibrated workflow on the failure-prone OSG model,
@@ -128,6 +148,18 @@ fn every_consumer_is_a_fold_of_one_event_stream() {
             .all(|e| e.code != EventCode::Aborted),
         "no user aborts in this run"
     );
+
+    // --- every observer's rendering is pinned by a golden -----------
+    let mut status_text: String = status.history.iter().map(|l| format!("{l}\n")).collect();
+    status_text.push_str(&format!(
+        "final: {}\nretries={} backoff_wait={}\n",
+        status.status_line(),
+        status.retries,
+        status.backoff_wait
+    ));
+    check_golden("osg_n40_s99.status.txt", &status_text);
+    check_golden("osg_n40_s99.timeline.csv", &timeline.to_csv());
+    check_golden("osg_n40_s99.joblog.txt", &joblog.to_text());
 
     // --- statistics from the replay match the live run --------------
     let live = compute(&run);
