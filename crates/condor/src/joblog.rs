@@ -4,13 +4,13 @@
 //! abort) to a per-workflow "user log"; Pegasus's monitord tails that
 //! file to populate its statistics database. This module provides the
 //! equivalent: a [`JobLogMonitor`] that records events while the
-//! engine runs (via the [`WorkflowMonitor`] hook), a writer for the
-//! classic text format, and a parser that reconstructs per-job timing
-//! — closing the provenance loop the same way the real stack does.
+//! engine runs (it is an [`EventSink`]), a writer for the classic text
+//! format, and a parser that reconstructs per-job timing — closing the
+//! provenance loop the same way the real stack does.
 
-use pegasus_wms::engine::{CompletionEvent, FaultReason, JobOutcome, WorkflowMonitor};
-use pegasus_wms::events::{EventSink, MonitorSink, WorkflowEvent};
-use pegasus_wms::planner::ExecutableJob;
+use pegasus_wms::engine::FaultReason;
+use pegasus_wms::events::{EventSink, WorkflowEvent};
+use pegasus_wms::workflow::JobId;
 use std::fmt;
 
 /// Condor user-log event codes (the subset the WMS stack uses).
@@ -121,6 +121,8 @@ impl LogEvent {
 pub struct JobLogMonitor {
     /// Events in arrival order.
     pub events: Vec<LogEvent>,
+    /// Job names, from the stream's manifest.
+    names: Vec<String>,
 }
 
 impl JobLogMonitor {
@@ -130,17 +132,26 @@ impl JobLogMonitor {
     }
 
     /// Rebuilds the user log offline from a provenance event stream —
-    /// the same sequence the live [`WorkflowMonitor`] hooks would have
-    /// produced, derived entirely from `events`.
-    pub fn from_events(jobs: &[ExecutableJob], events: &[WorkflowEvent]) -> JobLogMonitor {
+    /// the same log the live sink would have recorded.
+    pub fn from_events(events: &[WorkflowEvent]) -> JobLogMonitor {
         let mut log = JobLogMonitor::new();
-        {
-            let mut sink = MonitorSink::new(jobs, &mut log);
-            for ev in events {
-                sink.event(ev);
-            }
+        for ev in events {
+            log.event(ev);
         }
         log
+    }
+
+    fn log(&mut self, code: EventCode, job: JobId, attempt: u32, time: f64, note: String) {
+        // Jobs the stream never declared have no name to log under.
+        if let Some(name) = self.names.get(job.idx()) {
+            self.events.push(LogEvent {
+                code,
+                job: name.clone(),
+                attempt,
+                time,
+                note,
+            });
+        }
     }
 
     /// Renders the whole log.
@@ -186,134 +197,141 @@ impl JobLogMonitor {
     }
 }
 
-impl WorkflowMonitor for JobLogMonitor {
-    fn job_submitted(&mut self, job: &ExecutableJob, attempt: u32, now: f64) {
-        self.events.push(LogEvent {
-            code: EventCode::Submit,
-            job: job.name.clone(),
-            attempt,
-            time: now,
-            note: "Job submitted from host submit.local".into(),
-        });
-    }
-
-    fn job_terminated(&mut self, job: &ExecutableJob, event: &CompletionEvent) {
-        self.events.push(LogEvent {
-            code: EventCode::Execute,
-            job: job.name.clone(),
-            attempt: event.attempt,
-            time: event.times.started,
-            note: "Job executing on host worker".into(),
-        });
-        match &event.outcome {
-            JobOutcome::Success => self.events.push(LogEvent {
-                code: EventCode::Terminated,
-                job: job.name.clone(),
-                attempt: event.attempt,
-                time: event.times.finished,
-                note: "Job terminated. (return value 0)".into(),
-            }),
-            JobOutcome::Failure(reason) => {
-                // Machine-initiated kills get the real Condor evicted
-                // code; everything else stays an abort.
-                let evicted = matches!(
-                    FaultReason::classify(reason),
-                    FaultReason::Preemption | FaultReason::Eviction
-                );
-                self.events.push(LogEvent {
-                    code: if evicted {
-                        EventCode::Evicted
-                    } else {
-                        EventCode::Aborted
-                    },
-                    job: job.name.clone(),
-                    attempt: event.attempt,
-                    time: event.times.finished,
-                    note: if evicted {
-                        format!("Job was evicted: {reason}")
-                    } else {
-                        format!("Job was aborted: {reason}")
-                    },
-                });
+impl EventSink for JobLogMonitor {
+    fn event(&mut self, ev: &WorkflowEvent) {
+        let (job, attempt, times, code, note) = match ev {
+            WorkflowEvent::JobDeclared { job, name, .. } => {
+                if job.idx() == self.names.len() {
+                    self.names.push(name.clone());
+                }
+                return;
             }
-        }
+            WorkflowEvent::Submitted { job, attempt, time } => {
+                let note = "Job submitted from host submit.local".to_string();
+                return self.log(EventCode::Submit, *job, *attempt, *time, note);
+            }
+            WorkflowEvent::Completed {
+                job,
+                attempt,
+                times,
+            } => {
+                let note = "Job terminated. (return value 0)".to_string();
+                (job, attempt, times, EventCode::Terminated, note)
+            }
+            // Machine-initiated kills get the real Condor evicted code;
+            // everything else stays an abort.
+            WorkflowEvent::Failed {
+                job,
+                attempt,
+                reason: FaultReason::Preemption | FaultReason::Eviction,
+                detail,
+                times,
+            } => {
+                let note = format!("Job was evicted: {detail}");
+                (job, attempt, times, EventCode::Evicted, note)
+            }
+            WorkflowEvent::Failed {
+                job,
+                attempt,
+                detail,
+                times,
+                ..
+            }
+            | WorkflowEvent::TimedOut {
+                job,
+                attempt,
+                detail,
+                times,
+            } => {
+                let note = format!("Job was aborted: {detail}");
+                (job, attempt, times, EventCode::Aborted, note)
+            }
+            _ => return,
+        };
+        let executing = "Job executing on host worker".to_string();
+        self.log(EventCode::Execute, *job, *attempt, times.started, executing);
+        self.log(code, *job, *attempt, times.finished, note);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pegasus_wms::engine::JobTimes;
-    use pegasus_wms::planner::JobKind;
-    use pegasus_wms::workflow::JobId;
+    use pegasus_wms::events::log;
+    use pegasus_wms::planner::{ExecutableJob, JobKind};
 
-    fn job(name: &str) -> ExecutableJob {
-        ExecutableJob {
-            id: JobId::new(0),
-            name: name.into(),
-            transformation: "t".into(),
-            kind: JobKind::Compute,
-            args: vec![],
-            runtime_hint: 1.0,
-            install_hint: 0.0,
-            source_jobs: vec![],
-        }
+    /// Timestamps of an attempt that ran over [1, 4].
+    const T: &str = "submitted=0 started=1 install-done=1 finished=4";
+
+    /// The user log of job 0, declared as `name`, after the event-log
+    /// lines in `body`.
+    fn log_of(name: &str, body: &str) -> JobLogMonitor {
+        let text = format!(
+            "workflow-started time=0 jobs=1 site=s name=w\n\
+             job id=0 kind=compute transformation=t name={name}\n{body}"
+        );
+        JobLogMonitor::from_events(&log::parse(&text).unwrap())
     }
 
-    fn completion(attempt: u32, started: f64, finished: f64, ok: bool) -> CompletionEvent {
-        CompletionEvent {
-            job: JobId::new(0),
-            attempt,
-            outcome: if ok {
-                JobOutcome::Success
-            } else {
-                JobOutcome::Failure("preempted".into())
-            },
-            times: JobTimes {
-                submitted: started - 1.0,
-                started,
-                install_done: started,
-                finished,
-            },
-        }
+    fn codes(log: &JobLogMonitor) -> Vec<EventCode> {
+        log.events.iter().map(|e| e.code).collect()
     }
 
     #[test]
     fn monitor_records_the_event_sequence() {
-        let mut log = JobLogMonitor::new();
-        log.job_submitted(&job("split"), 0, 5.0);
-        log.job_terminated(&job("split"), &completion(0, 6.0, 16.0, true));
-        let codes: Vec<EventCode> = log.events.iter().map(|e| e.code).collect();
+        let log = log_of(
+            "split",
+            &format!("submitted time=0 job=0 attempt=0\ncompleted job=0 attempt=0 {T}\n"),
+        );
         assert_eq!(
-            codes,
-            vec![EventCode::Submit, EventCode::Execute, EventCode::Terminated]
+            codes(&log),
+            [EventCode::Submit, EventCode::Execute, EventCode::Terminated]
         );
     }
 
     #[test]
     fn preemptions_become_evicted_events() {
-        let mut log = JobLogMonitor::new();
-        log.job_terminated(&job("cap3"), &completion(1, 0.0, 3.0, false));
+        let log = log_of(
+            "cap3",
+            &format!("failed job=0 attempt=1 reason=preempted {T} detail=preempted\n"),
+        );
         assert_eq!(log.events[1].code, EventCode::Evicted);
         assert!(log.events[1].note.contains("preempted"));
     }
 
     #[test]
     fn non_machine_failures_stay_aborts() {
-        let mut log = JobLogMonitor::new();
-        let mut ev = completion(0, 0.0, 3.0, false);
-        ev.outcome = JobOutcome::Failure("task panicked".into());
-        log.job_terminated(&job("cap3"), &ev);
+        let log = log_of(
+            "cap3",
+            &format!("failed job=0 attempt=0 reason=error {T} detail=task panicked\n"),
+        );
         assert_eq!(log.events[1].code, EventCode::Aborted);
         assert!(log.events[1].note.contains("task panicked"));
     }
 
     #[test]
+    fn typed_reason_not_detail_text_picks_evicted_or_aborted() {
+        use EventCode::{Aborted, Evicted, Execute};
+        let log = log_of(
+            "cap3",
+            &format!(
+                "failed job=0 attempt=0 reason=preempted {T} detail=task panicked\n\
+                 failed job=0 attempt=1 reason=error {T} detail=preempted:storm\n\
+                 timed-out job=0 attempt=2 {T} detail=evicted:blackout\n"
+            ),
+        );
+        assert_eq!(
+            codes(&log),
+            [Execute, Evicted, Execute, Aborted, Execute, Aborted]
+        );
+    }
+
+    #[test]
     fn evicted_events_round_trip_and_pair_intervals() {
-        let mut log = JobLogMonitor::new();
-        let mut ev = completion(0, 1.0, 4.0, false);
-        ev.outcome = JobOutcome::Failure("evicted:blackout".into());
-        log.job_terminated(&job("b"), &ev);
+        let log = log_of(
+            "b",
+            &format!("failed job=0 attempt=0 reason=evicted {T} detail=evicted:blackout\n"),
+        );
         let text = log.to_text();
         assert!(text.contains("004 (b.000)"));
         let parsed = JobLogMonitor::parse(&text).unwrap();
@@ -326,9 +344,11 @@ mod tests {
 
     #[test]
     fn text_round_trip() {
-        let mut log = JobLogMonitor::new();
-        log.job_submitted(&job("run_cap3_3"), 2, 1.5);
-        log.job_terminated(&job("run_cap3_3"), &completion(2, 2.0, 12.25, true));
+        let log = log_of(
+            "run_cap3_3",
+            "submitted time=1.5 job=0 attempt=2\n\
+             completed job=0 attempt=2 submitted=1.5 started=2 install-done=2 finished=12.25\n",
+        );
         let text = log.to_text();
         assert!(text.contains("000 (run_cap3_3.002) 1.500"));
         assert!(text.contains("005 (run_cap3_3.002) 12.250"));
@@ -359,14 +379,18 @@ mod tests {
 
     #[test]
     fn execution_intervals_pair_up() {
-        let mut log = JobLogMonitor::new();
-        log.job_submitted(&job("a"), 0, 0.0);
-        log.job_terminated(&job("a"), &completion(0, 1.0, 5.0, false));
-        log.job_submitted(&job("a"), 1, 5.0);
-        log.job_terminated(&job("a"), &completion(1, 6.0, 11.0, true));
+        let log = log_of(
+            "a",
+            &format!(
+                "submitted time=0 job=0 attempt=0\n\
+                 failed job=0 attempt=0 reason=error {T} detail=x\n\
+                 submitted time=4 job=0 attempt=1\n\
+                 completed job=0 attempt=1 submitted=4 started=6 install-done=6 finished=11\n"
+            ),
+        );
         let iv = log.execution_intervals();
         assert_eq!(iv.len(), 2);
-        assert_eq!(iv[0], ("a".to_string(), 0, 1.0, 5.0));
+        assert_eq!(iv[0], ("a".to_string(), 0, 1.0, 4.0));
         assert_eq!(iv[1], ("a".to_string(), 1, 6.0, 11.0));
     }
 
@@ -430,7 +454,7 @@ mod tests {
         let mut log = JobLogMonitor::new();
         let run = Engine::run(&mut pool, &wf, &EngineConfig::default(), &mut log);
         assert!(run.succeeded());
-        let offline = JobLogMonitor::from_events(&wf.jobs, &run.events);
+        let offline = JobLogMonitor::from_events(&run.events);
         assert_eq!(offline.events, log.events);
         assert_eq!(offline.to_text(), log.to_text());
     }

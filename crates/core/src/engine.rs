@@ -14,7 +14,7 @@
 //! (`gridsim` crate).
 
 use crate::error::WmsError;
-use crate::events::{EventSink, MonitorSink, WorkflowEvent};
+use crate::events::{EventSink, WorkflowEvent};
 use crate::graph::Csr;
 use crate::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
 use crate::rescue::RescueDag;
@@ -532,37 +532,14 @@ impl WorkflowRun {
     }
 }
 
-/// Observer hooks for live workflow progress — the engine-side half of
-/// `pegasus-status` (see [`crate::monitor`] for ready-made monitors).
-pub trait WorkflowMonitor {
-    /// A job attempt was handed to the backend.
-    fn job_submitted(&mut self, job: &ExecutableJob, attempt: u32, now: f64) {
-        let _ = (job, attempt, now);
-    }
-
-    /// A job attempt terminated (successfully or not).
-    fn job_terminated(&mut self, job: &ExecutableJob, event: &CompletionEvent) {
-        let _ = (job, event);
-    }
-
-    /// A failed job is about to be resubmitted as `next_attempt`,
-    /// after `delay` seconds of backoff, because of `reason`.
-    fn job_retry(&mut self, job: &ExecutableJob, next_attempt: u32, delay: f64, reason: &str) {
-        let _ = (job, next_attempt, delay, reason);
-    }
-
-    /// The whole workflow finished.
-    fn workflow_finished(&mut self, succeeded: bool, wall_time: f64) {
-        let _ = (succeeded, wall_time);
-    }
-}
-
-/// The do-nothing monitor used by [`Engine::run`] callers that don't
-/// care about progress.
+/// The do-nothing [`EventSink`], for [`Engine::run`] callers that
+/// don't observe progress.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopMonitor;
 
-impl WorkflowMonitor for NoopMonitor {}
+impl EventSink for NoopMonitor {
+    fn event(&mut self, _ev: &WorkflowEvent) {}
+}
 
 /// A request to resubmit a failed job, produced by
 /// [`WorkflowExecution::on_event`]. The driver must hand it to
@@ -575,8 +552,6 @@ pub struct RetryRequest {
     pub next_attempt: u32,
     /// Backoff delay before the resubmission, in backend seconds.
     pub delay: f64,
-    /// The failure reason that triggered the retry.
-    pub reason: String,
 }
 
 /// What a driver must do after feeding one completion event to a
@@ -766,9 +741,8 @@ impl WorkflowExecution {
     }
 
     /// The events emitted since the last drain — the driver forwards
-    /// these to its sinks (e.g. a [`MonitorSink`] bridging onto a
-    /// [`WorkflowMonitor`]) after each submission batch or completion
-    /// event.
+    /// these to its [`EventSink`] after each submission batch or
+    /// completion event.
     pub fn drain_new_events(&mut self) -> &[WorkflowEvent] {
         let new = &self.events[self.emitted..];
         self.emitted = self.events.len();
@@ -883,7 +857,6 @@ impl WorkflowExecution {
                         job: ev.job,
                         next_attempt: ev.attempt + 1,
                         delay,
-                        reason: reason.clone(),
                     });
                 } else {
                     self.records[ev.job.idx()].state = JobState::Failed;
@@ -915,12 +888,6 @@ impl WorkflowExecution {
     /// `true` once the scripted submit-host crash fired.
     pub fn has_crashed(&self) -> bool {
         self.crashed
-    }
-
-    /// `true` when the run will be reported as failed (a job exhausted
-    /// its retries, or the crash fired).
-    pub fn failed(&self) -> bool {
-        self.any_failed || self.crashed
     }
 
     /// Finalises the run, stamping its end at `end` (backend seconds)
@@ -972,38 +939,17 @@ impl WorkflowExecution {
 pub struct Engine;
 
 impl Engine {
-    /// Executes `wf` on `backend` under `config`, reporting progress
-    /// to `monitor`.
-    ///
-    /// The monitor is driven through the provenance stream: after each
-    /// submission batch or completion event, the newly emitted
-    /// [`WorkflowEvent`]s are forwarded through a [`MonitorSink`], so
-    /// a monitor fed the finished run's recorded stream observes the
-    /// exact same callback sequence it saw live.
+    /// Executes `wf` on `backend` under `config`, handing `sink` every
+    /// [`WorkflowEvent`] as it is emitted — after each submission batch
+    /// or completion event, and finally the `WorkflowFinished` trailer
+    /// — so a sink fed the finished run's recorded stream sees exactly
+    /// what it saw live. Several observers share one run through an
+    /// array (or slice) of sinks, which fans each event out in order.
     pub fn run(
         backend: &mut dyn ExecutionBackend,
         wf: &ExecutableWorkflow,
         config: &EngineConfig,
-        monitor: &mut dyn WorkflowMonitor,
-    ) -> WorkflowRun {
-        Self::run_with_sink(backend, wf, config, monitor, &mut crate::events::NoopSink)
-    }
-
-    /// [`Engine::run`] with an extra [`EventSink`] observing the raw
-    /// event stream live, exactly as recorded — including the
-    /// `WorkflowFinished` trailer, which the monitor path only sees
-    /// as its `workflow_finished` callback.
-    ///
-    /// This is how `pegasus run --verify` attaches a
-    /// [`crate::verify::ShadowVerifier`] without buffering the run
-    /// twice; any listener needing the typed stream (not the monitor
-    /// digest) can ride along the same way.
-    pub fn run_with_sink(
-        backend: &mut dyn ExecutionBackend,
-        wf: &ExecutableWorkflow,
-        config: &EngineConfig,
-        monitor: &mut dyn WorkflowMonitor,
-        extra: &mut dyn EventSink,
+        sink: &mut dyn EventSink,
     ) -> WorkflowRun {
         let _prof = crate::prof::scope("engine.run");
         backend.set_timeout(config.retry.timeout);
@@ -1012,7 +958,7 @@ impl Engine {
             backend.submit(&wf.jobs[job.idx()], 0);
             exec.note_submitted(job, backend.now());
         }
-        Self::forward(&mut exec, wf, monitor, extra);
+        exec.drain_new_events().iter().for_each(|ev| sink.event(ev));
         while !exec.is_complete() {
             let ev = backend.wait_any();
             let resp = exec
@@ -1025,36 +971,17 @@ impl Engine {
                 backend.submit(&wf.jobs[job.idx()], 0);
                 exec.note_submitted(job, backend.now());
             }
-            Self::forward(&mut exec, wf, monitor, extra);
+            exec.drain_new_events().iter().for_each(|ev| sink.event(ev));
             if resp.crashed {
                 break;
             }
         }
-        let failed = exec.failed();
         let run = exec.finish(backend.now());
-        monitor.workflow_finished(!failed, run.wall_time);
-        // The trailer is appended by `finish()`, after the last
-        // `forward`: hand it to the extra sink so it sees the stream
-        // to completion.
+        // `finish()` appends the trailer after the last drain.
         if let Some(trailer) = run.events.last() {
-            extra.event(trailer);
+            sink.event(trailer);
         }
         run
-    }
-
-    /// Bridges freshly emitted events onto the monitor callbacks and
-    /// the extra raw-stream sink.
-    fn forward(
-        exec: &mut WorkflowExecution,
-        wf: &ExecutableWorkflow,
-        monitor: &mut dyn WorkflowMonitor,
-        extra: &mut dyn EventSink,
-    ) {
-        let mut sink = MonitorSink::new(&wf.jobs, monitor);
-        for ev in exec.drain_new_events() {
-            sink.event(ev);
-            extra.event(ev);
-        }
     }
 }
 
@@ -1387,15 +1314,18 @@ mod tests {
     #[test]
     fn monitor_hooks_fire_in_order() {
         struct OrderMonitor(Vec<String>);
-        impl WorkflowMonitor for OrderMonitor {
-            fn job_submitted(&mut self, job: &ExecutableJob, attempt: u32, _now: f64) {
-                self.0.push(format!("submit:{}:{attempt}", job.name));
-            }
-            fn job_terminated(&mut self, job: &ExecutableJob, _ev: &CompletionEvent) {
-                self.0.push(format!("done:{}", job.name));
-            }
-            fn workflow_finished(&mut self, succeeded: bool, _wall: f64) {
-                self.0.push(format!("finished:{succeeded}"));
+        impl EventSink for OrderMonitor {
+            fn event(&mut self, ev: &WorkflowEvent) {
+                match ev {
+                    WorkflowEvent::Submitted { job, attempt, .. } => {
+                        self.0.push(format!("submit:{job}:{attempt}"))
+                    }
+                    WorkflowEvent::Completed { job, .. } => self.0.push(format!("done:{job}")),
+                    WorkflowEvent::WorkflowFinished { succeeded, .. } => {
+                        self.0.push(format!("finished:{succeeded}"))
+                    }
+                    _ => {}
+                }
             }
         }
         let wf = chain();
@@ -1406,12 +1336,12 @@ mod tests {
         assert_eq!(
             mon.0,
             vec![
-                "submit:a:0",
-                "done:a",
-                "submit:b:0",
-                "done:b",
-                "submit:c:0",
-                "done:c",
+                "submit:0:0",
+                "done:0",
+                "submit:1:0",
+                "done:1",
+                "submit:2:0",
+                "done:2",
                 "finished:true"
             ]
         );
@@ -1660,11 +1590,21 @@ mod tests {
 
     #[test]
     fn retry_monitor_hook_reports_delay_and_reason() {
-        struct RetryMonitor(Vec<(String, u32, f64, String)>);
-        impl WorkflowMonitor for RetryMonitor {
-            fn job_retry(&mut self, job: &ExecutableJob, next: u32, delay: f64, reason: &str) {
-                self.0
-                    .push((job.name.clone(), next, delay, reason.to_string()));
+        struct RetryMonitor(Vec<(JobId, u32, f64, FaultReason, String)>);
+        impl EventSink for RetryMonitor {
+            fn event(&mut self, ev: &WorkflowEvent) {
+                if let WorkflowEvent::RetryScheduled {
+                    job,
+                    next_attempt,
+                    backoff,
+                    reason,
+                    detail,
+                    ..
+                } = ev
+                {
+                    self.0
+                        .push((*job, *next_attempt, *backoff, *reason, detail.clone()));
+                }
             }
         }
         let wf = chain();
@@ -1676,11 +1616,8 @@ mod tests {
             .build();
         let run = Engine::run(&mut be, &wf, &cfg, &mut mon);
         assert!(run.succeeded());
-        assert_eq!(mon.0.len(), 1);
-        assert_eq!(mon.0[0].0, "b");
-        assert_eq!(mon.0[0].1, 1);
-        assert_eq!(mon.0[0].2, 5.0);
-        assert_eq!(mon.0[0].3, "scripted");
+        let want = (JobId::new(1), 1, 5.0, FaultReason::Other, "scripted".into());
+        assert_eq!(mon.0, [want]);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! * [`replay`] folds a stream back into a full [`WorkflowRun`], so
 //!   statistics, analysis, and rescue DAGs can be recomputed offline
 //!   from a log alone;
-//! * [`MonitorSink`] bridges events onto the historical
-//!   [`WorkflowMonitor`] callbacks, so existing monitors keep working
-//!   unchanged — live or replayed;
+//! * [`EventSink`] is the one observer interface: the engine hands
+//!   its sink every event live, and the status, timeline, metrics and
+//!   Condor job-log monitors are sinks, so a recorded stream fed back
+//!   through them reproduces what they saw live;
 //! * [`log`] is a line-oriented, hand-rolled text format (the same
 //!   idiom as the fault-plan format: one `keyword key=value...` line
 //!   per event, no serde) written by `pegasus run --events` and read
@@ -30,11 +31,10 @@
 //! values must be whitespace-free for the text format to round-trip.
 
 use crate::engine::{
-    CompletionEvent, FaultCounters, FaultReason, JobOutcome, JobRecord, JobState, JobTimes,
-    WorkflowMonitor, WorkflowOutcome, WorkflowRun,
+    FaultCounters, FaultReason, JobRecord, JobState, JobTimes, WorkflowOutcome, WorkflowRun,
 };
 use crate::error::WmsError;
-use crate::planner::{ExecutableJob, JobKind};
+use crate::planner::JobKind;
 use crate::rescue::RescueDag;
 use crate::workflow::JobId;
 
@@ -225,117 +225,35 @@ impl WorkflowEvent {
     }
 }
 
-/// A consumer of the live event stream.
+/// A consumer of the event stream — the engine's one observer.
 ///
-/// The engine's downstream layers implement this (directly or via
-/// [`MonitorSink`]); feeding a recorded stream back through a sink
-/// reproduces exactly what the live consumer saw.
+/// [`Engine::run`] hands its sink every event as it is emitted, the
+/// `WorkflowFinished` trailer included, so feeding a recorded stream
+/// back through a sink reproduces exactly what the live consumer saw.
+/// Sinks that need job names, transformations or kinds keep them from
+/// the stream's [`WorkflowEvent::JobDeclared`] manifest, which precedes
+/// every per-job event.
+///
+/// [`Engine::run`]: crate::engine::Engine::run
 pub trait EventSink {
     /// Consumes one event.
     fn event(&mut self, ev: &WorkflowEvent);
 }
 
-/// An [`EventSink`] that discards every event — the default extra
-/// sink of [`Engine::run`], and a convenient placeholder wherever a
-/// sink is required but nothing listens.
-///
-/// [`Engine::run`]: crate::engine::Engine::run
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl EventSink for NoopSink {
-    fn event(&mut self, _ev: &WorkflowEvent) {}
-}
-
-/// The bridge from events to the historical [`WorkflowMonitor`]
-/// callbacks: `Submitted` → `job_submitted`, terminal events →
-/// `job_terminated`, `RetryScheduled` → `job_retry`, and
-/// `WorkflowFinished` → `workflow_finished`. Manifest and phase events
-/// (`WorkflowStarted`, `JobDeclared`, `Skipped`, `InstallStarted`,
-/// `Started`) have no callback equivalent and are ignored.
-///
-/// [`Engine::run`] drives its monitor through one of these, so a
-/// monitor fed a replayed stream observes the identical callback
-/// sequence — timestamps included — as it did live.
-///
-/// [`Engine::run`]: crate::engine::Engine::run
-pub struct MonitorSink<'a> {
-    jobs: &'a [ExecutableJob],
-    monitor: &'a mut dyn WorkflowMonitor,
-}
-
-impl<'a> MonitorSink<'a> {
-    /// Wraps `monitor`, resolving job ids against `jobs` (the
-    /// executable workflow's job list).
-    pub fn new(jobs: &'a [ExecutableJob], monitor: &'a mut dyn WorkflowMonitor) -> Self {
-        MonitorSink { jobs, monitor }
+/// Fan-out: every sink in the slice sees each event, in slice order.
+impl EventSink for [&mut dyn EventSink] {
+    fn event(&mut self, ev: &WorkflowEvent) {
+        for sink in self.iter_mut() {
+            sink.event(ev);
+        }
     }
 }
 
-impl EventSink for MonitorSink<'_> {
+/// Fan-out over an array, so `&mut sinks` with
+/// `sinks: [&mut dyn EventSink; N]` can be passed as one sink.
+impl<const N: usize> EventSink for [&mut dyn EventSink; N] {
     fn event(&mut self, ev: &WorkflowEvent) {
-        match ev {
-            WorkflowEvent::Submitted { job, attempt, time } => {
-                self.monitor
-                    .job_submitted(&self.jobs[job.idx()], *attempt, *time);
-            }
-            WorkflowEvent::Completed {
-                job,
-                attempt,
-                times,
-            } => {
-                let event = CompletionEvent {
-                    job: *job,
-                    attempt: *attempt,
-                    outcome: JobOutcome::Success,
-                    times: *times,
-                };
-                self.monitor.job_terminated(&self.jobs[job.idx()], &event);
-            }
-            WorkflowEvent::Failed {
-                job,
-                attempt,
-                detail,
-                times,
-                ..
-            }
-            | WorkflowEvent::TimedOut {
-                job,
-                attempt,
-                detail,
-                times,
-            } => {
-                let event = CompletionEvent {
-                    job: *job,
-                    attempt: *attempt,
-                    outcome: JobOutcome::Failure(detail.clone()),
-                    times: *times,
-                };
-                self.monitor.job_terminated(&self.jobs[job.idx()], &event);
-            }
-            WorkflowEvent::RetryScheduled {
-                job,
-                next_attempt,
-                backoff,
-                detail,
-                ..
-            } => {
-                self.monitor
-                    .job_retry(&self.jobs[job.idx()], *next_attempt, *backoff, detail);
-            }
-            WorkflowEvent::WorkflowFinished {
-                succeeded,
-                wall_time,
-                ..
-            } => {
-                self.monitor.workflow_finished(*succeeded, *wall_time);
-            }
-            WorkflowEvent::WorkflowStarted { .. }
-            | WorkflowEvent::JobDeclared { .. }
-            | WorkflowEvent::Skipped { .. }
-            | WorkflowEvent::InstallStarted { .. }
-            | WorkflowEvent::Started { .. } => {}
-        }
+        self.as_mut_slice().event(ev);
     }
 }
 
@@ -1184,22 +1102,12 @@ mod tests {
     }
 
     #[test]
-    fn monitor_bridge_reproduces_live_callbacks() {
-        #[derive(Default, PartialEq, Debug)]
-        struct Tape(Vec<String>);
-        impl WorkflowMonitor for Tape {
-            fn job_submitted(&mut self, job: &ExecutableJob, attempt: u32, now: f64) {
-                self.0.push(format!("submit:{}:{attempt}@{now}", job.name));
-            }
-            fn job_terminated(&mut self, job: &ExecutableJob, ev: &CompletionEvent) {
-                self.0.push(format!("done:{}:{:?}", job.name, ev.outcome));
-            }
-            fn job_retry(&mut self, job: &ExecutableJob, next: u32, delay: f64, reason: &str) {
-                self.0
-                    .push(format!("retry:{}:{next}:{delay}:{reason}", job.name));
-            }
-            fn workflow_finished(&mut self, succeeded: bool, wall: f64) {
-                self.0.push(format!("finished:{succeeded}@{wall}"));
+    fn live_sink_sees_the_recorded_stream() {
+        #[derive(Default)]
+        struct Tape(Vec<WorkflowEvent>);
+        impl EventSink for Tape {
+            fn event(&mut self, ev: &WorkflowEvent) {
+                self.0.push(ev.clone());
             }
         }
 
@@ -1212,14 +1120,6 @@ mod tests {
         let mut live = Tape::default();
         let run = Engine::run(&mut be, &wf, &cfg, &mut live);
         assert!(run.succeeded());
-
-        let mut offline = Tape::default();
-        {
-            let mut sink = MonitorSink::new(&wf.jobs, &mut offline);
-            for ev in &run.events {
-                sink.event(ev);
-            }
-        }
-        assert_eq!(offline, live);
+        assert_eq!(live.0, run.events, "every event, trailer included");
     }
 }

@@ -30,7 +30,8 @@
 //!   policy, rescue-DAG generation on unrecoverable failure;
 //! * [`events`] — the provenance core: the typed, append-only
 //!   [`events::WorkflowEvent`] stream the engine emits at every state
-//!   transition, its line-oriented log format, and [`events::replay`]
+//!   transition, the [`events::EventSink`] trait every live observer
+//!   implements, its line-oriented log format, and [`events::replay`]
 //!   which folds a log back into a [`WorkflowRun`] for offline
 //!   statistics, analysis, and rescue;
 //! * [`metrics`] — a dependency-free registry of labelled counters,
@@ -104,7 +105,7 @@ pub use engine::{
 };
 pub use ensemble::{Ensemble, EnsembleConfig, EnsembleRun, Submission, SubmissionId};
 pub use error::{Span, WmsError};
-pub use events::{EventSink, MonitorSink, WorkflowEvent};
+pub use events::{EventSink, WorkflowEvent};
 pub use graph::Csr;
 pub use lint::{Diagnostic, Severity};
 pub use planner::{plan, ExecutableJob, ExecutableWorkflow, JobKind, PlannerConfig};

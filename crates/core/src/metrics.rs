@@ -9,15 +9,14 @@
 //!
 //! Two ways to populate a [`MetricsRegistry`]:
 //!
-//! * live: wire a [`MetricsMonitor`] (a [`WorkflowMonitor`]) into
+//! * live: pass a [`MetricsMonitor`] (an [`EventSink`]) to
 //!   [`Engine::run`] — every submission, termination, and retry lands
 //!   as a labelled observation with near-zero overhead;
-//! * offline: [`record_events`] folds a recorded
-//!   [`crate::events::WorkflowEvent`] stream (a live run's `events`
-//!   field, one ensemble member, or a parsed `--events` log) through
-//!   the *same* monitor via [`crate::events::MonitorSink`], so the
-//!   rendered exposition is byte-identical to what the live wiring
-//!   produced under the same seed.
+//! * offline: [`record_events`] feeds a recorded [`WorkflowEvent`]
+//!   stream (a live run's `events` field, one ensemble member, or a
+//!   parsed `--events` log) through the *same* sink, so the rendered
+//!   exposition is byte-identical to what the live wiring produced
+//!   under the same seed.
 //!
 //! Rendering is fully deterministic: families sort by name, series by
 //! label set, and numbers use Rust's shortest round-tripping float
@@ -25,10 +24,10 @@
 //!
 //! [`Engine::run`]: crate::engine::Engine::run
 
-use crate::engine::{CompletionEvent, FaultReason, JobOutcome, WorkflowMonitor};
+use crate::engine::FaultReason;
 use crate::error::WmsError;
-use crate::events::{self, EventSink, MonitorSink, WorkflowEvent};
-use crate::planner::{ExecutableJob, JobKind};
+use crate::events::{self, EventSink, WorkflowEvent};
+use crate::planner::JobKind;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -401,7 +400,7 @@ pub mod names {
     pub const SIM_CALENDAR_OCCUPANCY: &str = "pegasus_sim_calendar_buckets_occupied_peak";
 }
 
-/// A [`WorkflowMonitor`] that lands every engine callback in a
+/// An [`EventSink`] that lands every engine event in a
 /// [`MetricsRegistry`] as labelled counters, gauges, and phase
 /// histograms. Constructing one declares the full
 /// [standard metric set](names) (idempotently), so several monitors —
@@ -411,6 +410,8 @@ pub struct MetricsMonitor<'a> {
     registry: &'a mut MetricsRegistry,
     site: String,
     n: String,
+    /// Job kinds, from the stream's manifest.
+    kinds: Vec<JobKind>,
 }
 
 impl<'a> MetricsMonitor<'a> {
@@ -439,13 +440,8 @@ impl<'a> MetricsMonitor<'a> {
             registry,
             site: site.to_string(),
             n: n.to_string(),
+            kinds: Vec::new(),
         }
-    }
-
-    /// Splits the borrow: registry mutably, the label pair immutably.
-    fn parts(&mut self) -> (&mut MetricsRegistry, [(&str, &str); 2]) {
-        let MetricsMonitor { registry, site, n } = self;
-        (registry, [("site", site.as_str()), ("n", n.as_str())])
     }
 }
 
@@ -454,24 +450,31 @@ fn in_flight_delta(registry: &mut MetricsRegistry, labels: &[(&str, &str)], delt
     registry.set(names::IN_FLIGHT, labels, cur + delta);
 }
 
-impl WorkflowMonitor for MetricsMonitor<'_> {
-    fn job_submitted(&mut self, _job: &ExecutableJob, _attempt: u32, _now: f64) {
-        let (registry, labels) = self.parts();
-        registry.inc(names::SUBMITTED, &labels);
-        in_flight_delta(registry, &labels, 1.0);
-    }
-
-    fn job_terminated(&mut self, job: &ExecutableJob, event: &CompletionEvent) {
-        let (registry, [site, n]) = self.parts();
-        in_flight_delta(registry, &[site, n], -1.0);
-        match &event.outcome {
-            JobOutcome::Success => {
+impl EventSink for MetricsMonitor<'_> {
+    fn event(&mut self, ev: &WorkflowEvent) {
+        let MetricsMonitor {
+            registry,
+            site,
+            n,
+            kinds,
+        } = self;
+        let (site, n) = (("site", site.as_str()), ("n", n.as_str()));
+        match ev {
+            WorkflowEvent::JobDeclared { job, kind, .. } if job.idx() == kinds.len() => {
+                kinds.push(*kind);
+            }
+            WorkflowEvent::Submitted { .. } => {
+                registry.inc(names::SUBMITTED, &[site, n]);
+                in_flight_delta(registry, &[site, n], 1.0);
+            }
+            WorkflowEvent::Completed { job, times, .. } => {
+                in_flight_delta(registry, &[site, n], -1.0);
                 registry.inc(names::COMPLETIONS, &[site, n]);
-                if job.kind == JobKind::Compute {
+                if kinds.get(job.idx()) == Some(&JobKind::Compute) {
                     for (phase, seconds) in [
-                        ("queue_wait", event.times.waiting()),
-                        ("install", event.times.install()),
-                        ("kickstart", event.times.kickstart()),
+                        ("queue_wait", times.waiting()),
+                        ("install", times.install()),
+                        ("kickstart", times.kickstart()),
                     ] {
                         registry.observe(
                             names::PHASE_SECONDS,
@@ -481,64 +484,53 @@ impl WorkflowMonitor for MetricsMonitor<'_> {
                     }
                 }
             }
-            JobOutcome::Failure(detail) => {
-                let reason = FaultReason::classify(detail);
+            WorkflowEvent::Failed { reason, .. } => {
+                in_flight_delta(registry, &[site, n], -1.0);
                 registry.inc(names::FAILURES, &[site, n, ("reason", reason.prefix())]);
             }
+            WorkflowEvent::TimedOut { .. } => {
+                in_flight_delta(registry, &[site, n], -1.0);
+                let reason = FaultReason::Timeout.prefix();
+                registry.inc(names::FAILURES, &[site, n, ("reason", reason)]);
+            }
+            WorkflowEvent::RetryScheduled {
+                backoff, reason, ..
+            } => {
+                registry.inc(names::RETRIES, &[site, n, ("reason", reason.prefix())]);
+                registry.add(names::BACKOFF_WAIT, &[site, n], *backoff);
+            }
+            WorkflowEvent::WorkflowFinished {
+                succeeded,
+                wall_time,
+                ..
+            } => {
+                registry.set(names::WALL_TIME, &[site, n], *wall_time);
+                let outcome = if *succeeded { "success" } else { "failed" };
+                registry.inc(names::WORKFLOWS, &[site, n, ("outcome", outcome)]);
+            }
+            _ => {}
         }
-    }
-
-    fn job_retry(&mut self, _job: &ExecutableJob, _next_attempt: u32, delay: f64, reason: &str) {
-        let kind = FaultReason::classify(reason);
-        let (registry, [site, n]) = self.parts();
-        registry.inc(names::RETRIES, &[site, n, ("reason", kind.prefix())]);
-        registry.add(names::BACKOFF_WAIT, &[site, n], delay);
-    }
-
-    fn workflow_finished(&mut self, succeeded: bool, wall_time: f64) {
-        let (registry, [site, n]) = self.parts();
-        registry.set(names::WALL_TIME, &[site, n], wall_time);
-        let outcome = if succeeded { "success" } else { "failed" };
-        registry.inc(names::WORKFLOWS, &[site, n, ("outcome", outcome)]);
     }
 }
 
 /// Folds a recorded event stream into `registry` — the offline twin of
-/// wiring a [`MetricsMonitor`] into a live run. The stream is replayed
-/// through the same [`MonitorSink`] the engine drives, so under the
-/// same seed the rendered exposition is byte-identical to the live
-/// wiring's.
+/// passing a [`MetricsMonitor`] to a live run. The stream goes through
+/// the same sink the engine drives, so under the same seed the
+/// rendered exposition is byte-identical to the live wiring's.
 ///
 /// # Errors
-/// Returns [`WmsError::EventLogParse`] when the stream is not a valid
-/// engine emission (no header, undeclared jobs).
+/// Returns [`WmsError::EventLogParse`] when [`events::replay`] rejects
+/// the stream (no header, out-of-order declarations, undeclared jobs);
+/// the registry is then left untouched.
 pub fn record_events(
     registry: &mut MetricsRegistry,
     stream: &[WorkflowEvent],
 ) -> Result<(), WmsError> {
     let run = events::replay(stream)?;
-    // Reconstruct just enough of the executable job list for the
-    // monitor callbacks: names, transformations, and kinds all ride on
-    // the stream's manifest.
-    let jobs: Vec<ExecutableJob> = run
-        .records
-        .iter()
-        .map(|r| ExecutableJob {
-            id: r.job,
-            name: r.name.clone(),
-            transformation: r.transformation.clone(),
-            kind: r.kind,
-            args: Vec::new(),
-            runtime_hint: 0.0,
-            install_hint: 0.0,
-            source_jobs: Vec::new(),
-        })
-        .collect();
-    let n = n_label(&run.name, jobs.len());
+    let n = n_label(&run.name, run.records.len());
     let mut monitor = MetricsMonitor::new(registry, &run.site, &n);
-    let mut sink = MonitorSink::new(&jobs, &mut monitor);
     for ev in stream {
-        sink.event(ev);
+        monitor.event(ev);
     }
     Ok(())
 }
@@ -548,7 +540,7 @@ mod tests {
     use super::*;
     use crate::engine::scripted::ScriptedBackend;
     use crate::engine::{Engine, EngineConfig, JobTimes, RetryPolicy};
-    use crate::planner::ExecutableWorkflow;
+    use crate::planner::{ExecutableJob, ExecutableWorkflow};
 
     fn registry_with_histogram() -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
@@ -760,22 +752,52 @@ mod tests {
     }
 
     #[test]
+    fn failure_labels_follow_the_typed_reason_not_the_detail_text() {
+        // A hand-edited log whose detail text disagrees with its typed
+        // reason: labels follow the type, as `events::replay`'s failure
+        // kinds do.
+        let t = "submitted=0 started=1 install-done=1 finished=2";
+        let stream = events::log::parse(&format!(
+            "workflow-started time=0 jobs=1 site=s name=w_n1\n\
+             job id=0 kind=compute transformation=a name=a\n\
+             failed job=0 attempt=0 reason=preempted {t} detail=task panicked\n\
+             retry-scheduled time=2 job=0 next-attempt=1 backoff=0 reason=preempted detail=x\n\
+             timed-out job=0 attempt=1 {t} detail=preempted:storm\n"
+        ))
+        .unwrap();
+        let run = events::replay(&stream).unwrap();
+        let kinds = &run.records[0].failure_kinds;
+        assert_eq!(kinds, &[FaultReason::Preemption, FaultReason::Timeout]);
+        let mut r = MetricsRegistry::new();
+        record_events(&mut r, &stream).unwrap();
+        let labels = |reason| [("site", "s"), ("n", "1"), ("reason", reason)];
+        for kind in kinds {
+            assert_eq!(r.value(names::FAILURES, &labels(kind.prefix())), Some(1.0));
+        }
+        assert_eq!(r.value(names::FAILURES, &labels("error")), None);
+        assert_eq!(r.value(names::RETRIES, &labels("preempted")), Some(1.0));
+    }
+
+    #[test]
     fn phase_histogram_splits_waiting_install_kickstart() {
         let mut r = MetricsRegistry::new();
         let mut mon = MetricsMonitor::new(&mut r, "s", "1");
-        let wf = chain();
-        let ev = CompletionEvent {
-            job: crate::workflow::JobId::new(1),
+        mon.event(&WorkflowEvent::JobDeclared {
+            job: crate::workflow::JobId::new(0),
+            name: "a".into(),
+            transformation: "a".into(),
+            kind: JobKind::Compute,
+        });
+        mon.event(&WorkflowEvent::Completed {
+            job: crate::workflow::JobId::new(0),
             attempt: 0,
-            outcome: JobOutcome::Success,
             times: JobTimes {
                 submitted: 0.0,
                 started: 100.0,
                 install_done: 130.0,
                 finished: 530.0,
             },
-        };
-        mon.job_terminated(&wf.jobs[1], &ev);
+        });
         for (phase, want) in [
             ("queue_wait", 100.0),
             ("install", 30.0),

@@ -4,10 +4,11 @@
 //! one-line status (`%done  queued/running/done/failed`);
 //! [`TimelineMonitor`] records a full event timeline suitable for
 //! Gantt rendering and concurrency analysis (how many jobs were in
-//! flight at any simulated/real moment).
+//! flight at any simulated/real moment). Both are
+//! [`EventSink`]s: pass them to [`crate::engine::Engine::run`] live, or
+//! feed them a recorded stream offline.
 
-use crate::engine::{CompletionEvent, JobOutcome, WorkflowMonitor};
-use crate::planner::ExecutableJob;
+use crate::events::{EventSink, WorkflowEvent};
 
 /// Running counters and a status line.
 #[derive(Debug, Default, Clone)]
@@ -61,25 +62,29 @@ impl StatusMonitor {
     }
 }
 
-impl WorkflowMonitor for StatusMonitor {
-    fn job_submitted(&mut self, _job: &ExecutableJob, _attempt: u32, _now: f64) {
-        self.in_flight += 1;
-        self.submissions += 1;
-        self.history.push(self.status_line());
-    }
-
-    fn job_terminated(&mut self, _job: &ExecutableJob, event: &CompletionEvent) {
-        self.in_flight = self.in_flight.saturating_sub(1);
-        match event.outcome {
-            JobOutcome::Success => self.done += 1,
-            JobOutcome::Failure(_) => self.failed_attempts += 1,
+impl EventSink for StatusMonitor {
+    fn event(&mut self, ev: &WorkflowEvent) {
+        match ev {
+            WorkflowEvent::Submitted { .. } => {
+                self.in_flight += 1;
+                self.submissions += 1;
+            }
+            WorkflowEvent::Completed { .. } => {
+                self.in_flight = self.in_flight.saturating_sub(1);
+                self.done += 1;
+            }
+            WorkflowEvent::Failed { .. } | WorkflowEvent::TimedOut { .. } => {
+                self.in_flight = self.in_flight.saturating_sub(1);
+                self.failed_attempts += 1;
+            }
+            WorkflowEvent::RetryScheduled { backoff, .. } => {
+                self.retries += 1;
+                self.backoff_wait += backoff;
+                return;
+            }
+            _ => return,
         }
         self.history.push(self.status_line());
-    }
-
-    fn job_retry(&mut self, _job: &ExecutableJob, _next_attempt: u32, delay: f64, _reason: &str) {
-        self.retries += 1;
-        self.backoff_wait += delay;
     }
 }
 
@@ -105,6 +110,8 @@ pub struct TimelineEntry {
 pub struct TimelineMonitor {
     /// Completed attempt intervals, in completion order.
     pub entries: Vec<TimelineEntry>,
+    /// `(name, transformation)` per job, from the stream's manifest.
+    jobs: Vec<(String, String)>,
 }
 
 impl TimelineMonitor {
@@ -154,59 +161,49 @@ impl TimelineMonitor {
     }
 }
 
-impl WorkflowMonitor for TimelineMonitor {
-    fn job_terminated(&mut self, job: &ExecutableJob, event: &CompletionEvent) {
-        self.entries.push(TimelineEntry {
-            name: job.name.clone(),
-            transformation: job.transformation.clone(),
-            attempt: event.attempt,
-            start: event.times.started,
-            end: event.times.finished,
-            succeeded: matches!(event.outcome, JobOutcome::Success),
-        });
-    }
-}
-
-/// Fans one engine callback stream out to several monitors.
-#[derive(Default)]
-pub struct MultiMonitor<'a> {
-    monitors: Vec<&'a mut dyn WorkflowMonitor>,
-}
-
-impl<'a> MultiMonitor<'a> {
-    /// Creates an empty fan-out.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a monitor to the fan-out.
-    pub fn push(&mut self, m: &'a mut dyn WorkflowMonitor) {
-        self.monitors.push(m);
-    }
-}
-
-impl WorkflowMonitor for MultiMonitor<'_> {
-    fn job_submitted(&mut self, job: &ExecutableJob, attempt: u32, now: f64) {
-        for m in &mut self.monitors {
-            m.job_submitted(job, attempt, now);
-        }
-    }
-
-    fn job_terminated(&mut self, job: &ExecutableJob, event: &CompletionEvent) {
-        for m in &mut self.monitors {
-            m.job_terminated(job, event);
-        }
-    }
-
-    fn job_retry(&mut self, job: &ExecutableJob, next_attempt: u32, delay: f64, reason: &str) {
-        for m in &mut self.monitors {
-            m.job_retry(job, next_attempt, delay, reason);
-        }
-    }
-
-    fn workflow_finished(&mut self, succeeded: bool, wall_time: f64) {
-        for m in &mut self.monitors {
-            m.workflow_finished(succeeded, wall_time);
+impl EventSink for TimelineMonitor {
+    fn event(&mut self, ev: &WorkflowEvent) {
+        let (job, attempt, times, succeeded) = match ev {
+            WorkflowEvent::JobDeclared {
+                job,
+                name,
+                transformation,
+                ..
+            } => {
+                if job.idx() == self.jobs.len() {
+                    self.jobs.push((name.clone(), transformation.clone()));
+                }
+                return;
+            }
+            WorkflowEvent::Completed {
+                job,
+                attempt,
+                times,
+            } => (job, attempt, times, true),
+            WorkflowEvent::Failed {
+                job,
+                attempt,
+                times,
+                ..
+            }
+            | WorkflowEvent::TimedOut {
+                job,
+                attempt,
+                times,
+                ..
+            } => (job, attempt, times, false),
+            _ => return,
+        };
+        // Jobs the stream never declared have no name to log under.
+        if let Some((name, transformation)) = self.jobs.get(job.idx()) {
+            self.entries.push(TimelineEntry {
+                name: name.clone(),
+                transformation: transformation.clone(),
+                attempt: *attempt,
+                start: times.started,
+                end: times.finished,
+                succeeded,
+            });
         }
     }
 }
@@ -214,52 +211,52 @@ impl WorkflowMonitor for MultiMonitor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::JobTimes;
-    use crate::planner::JobKind;
+    use crate::events::log;
 
-    fn job(id: usize, name: &str) -> ExecutableJob {
-        ExecutableJob {
-            id: crate::workflow::JobId::new(id),
-            name: name.into(),
-            transformation: "t".into(),
-            kind: JobKind::Compute,
-            args: vec![],
-            runtime_hint: 1.0,
-            install_hint: 0.0,
-            source_jobs: vec![],
+    /// Timestamps of an attempt that ran over [0, 5].
+    const T: &str = "submitted=0 started=0 install-done=0 finished=5";
+
+    /// Feeds `sink` the events of the hand-written event-log lines.
+    fn feed(sink: &mut (impl EventSink + ?Sized), lines: &str) {
+        for ev in log::parse(lines).unwrap() {
+            sink.event(&ev);
         }
     }
 
-    fn event(id: usize, start: f64, end: f64, ok: bool) -> CompletionEvent {
-        CompletionEvent {
-            job: crate::workflow::JobId::new(id),
-            attempt: 0,
-            outcome: if ok {
-                JobOutcome::Success
-            } else {
-                JobOutcome::Failure("x".into())
-            },
-            times: JobTimes {
-                submitted: start,
-                started: start,
-                install_done: start,
-                finished: end,
-            },
+    /// A timeline fed one successful attempt per `(start, end)`
+    /// interval, job `i` named after its index.
+    fn timeline(intervals: &[(f64, f64)]) -> TimelineMonitor {
+        let mut t = TimelineMonitor::new();
+        for (i, (start, end)) in intervals.iter().enumerate() {
+            feed(
+                &mut t,
+                &format!(
+                    "job id={i} kind=compute transformation=t name={i}\n\
+                     completed job={i} attempt=0 submitted={start} started={start} \
+                     install-done={start} finished={end}\n"
+                ),
+            );
         }
+        t
     }
 
     #[test]
     fn status_counts_and_percentages() {
         let mut m = StatusMonitor::new(4);
         assert_eq!(m.percent_done(), 0.0);
-        m.job_submitted(&job(0, "a"), 0, 0.0);
-        m.job_submitted(&job(1, "b"), 0, 0.0);
+        feed(
+            &mut m,
+            "submitted time=0 job=0 attempt=0\nsubmitted time=0 job=1 attempt=0",
+        );
         assert_eq!(m.in_flight, 2);
-        m.job_terminated(&job(0, "a"), &event(0, 0.0, 5.0, true));
+        feed(&mut m, &format!("completed job=0 attempt=0 {T}"));
         assert_eq!(m.done, 1);
         assert_eq!(m.in_flight, 1);
         assert_eq!(m.percent_done(), 25.0);
-        m.job_terminated(&job(1, "b"), &event(1, 0.0, 5.0, false));
+        feed(
+            &mut m,
+            &format!("failed job=1 attempt=0 reason=error {T} detail=x"),
+        );
         assert_eq!(m.failed_attempts, 1);
         assert!(m.status_line().contains("25.0% done"));
         assert_eq!(m.history.len(), 4);
@@ -268,8 +265,15 @@ mod tests {
     #[test]
     fn status_monitor_tallies_retries_and_backoff() {
         let mut m = StatusMonitor::new(2);
-        m.job_retry(&job(0, "a"), 1, 5.0, "preempted");
-        m.job_retry(&job(0, "a"), 2, 10.0, "preempted");
+        for (attempt, backoff) in [(1, 5), (2, 10)] {
+            feed(
+                &mut m,
+                &format!(
+                    "retry-scheduled time=0 job=0 next-attempt={attempt} backoff={backoff} \
+                     reason=preempted detail=preempted"
+                ),
+            );
+        }
         assert_eq!(m.retries, 2);
         assert_eq!(m.backoff_wait, 15.0);
         // Retry events don't pollute the status history.
@@ -283,23 +287,20 @@ mod tests {
 
     #[test]
     fn timeline_records_intervals_and_concurrency() {
-        let mut t = TimelineMonitor::new();
-        t.job_terminated(&job(0, "a"), &event(0, 0.0, 10.0, true));
-        t.job_terminated(&job(1, "b"), &event(1, 2.0, 8.0, true));
-        t.job_terminated(&job(2, "c"), &event(2, 10.0, 15.0, true));
+        let mut t = timeline(&[(0.0, 10.0), (2.0, 8.0), (10.0, 15.0)]);
         assert_eq!(t.entries.len(), 3);
         assert_eq!(t.peak_concurrency(), 2);
         let csv = t.to_csv();
         assert_eq!(csv.lines().count(), 4);
-        assert!(csv.contains("a,t,0,0.000,10.000,true"));
+        assert!(csv.contains("0,t,0,0.000,10.000,true"));
+        // An undeclared job has no name to log under and is skipped.
+        feed(&mut t, &format!("completed job=7 attempt=0 {T}"));
+        assert_eq!(t.entries.len(), 3);
     }
 
     #[test]
     fn touching_intervals_do_not_double_count() {
-        let mut t = TimelineMonitor::new();
-        t.job_terminated(&job(0, "a"), &event(0, 0.0, 10.0, true));
-        t.job_terminated(&job(1, "b"), &event(1, 10.0, 20.0, true));
-        assert_eq!(t.peak_concurrency(), 1);
+        assert_eq!(timeline(&[(0.0, 10.0), (10.0, 20.0)]).peak_concurrency(), 1);
     }
 
     #[test]
@@ -345,89 +346,54 @@ mod tests {
     fn peak_concurrency_breaks_simultaneous_ties() {
         // Three intervals share t = 5 as both an end and two starts:
         // the ending attempt must not be counted alongside them.
-        let mut t = TimelineMonitor::new();
-        t.job_terminated(&job(0, "a"), &event(0, 0.0, 5.0, true));
-        t.job_terminated(&job(1, "b"), &event(1, 5.0, 10.0, true));
-        t.job_terminated(&job(2, "c"), &event(2, 5.0, 10.0, true));
+        let t = timeline(&[(0.0, 5.0), (5.0, 10.0), (5.0, 10.0)]);
         assert_eq!(t.peak_concurrency(), 2);
 
         // Identical intervals all count simultaneously...
-        let mut t = TimelineMonitor::new();
-        for id in 0..3 {
-            t.job_terminated(&job(id, "x"), &event(id, 0.0, 5.0, true));
-        }
-        assert_eq!(t.peak_concurrency(), 3);
+        assert_eq!(timeline(&[(0.0, 5.0); 3]).peak_concurrency(), 3);
 
         // ...including zero-width ones, where the start still sorts
         // after the end at the same instant (net zero, peak from the
         // longer-lived neighbour only).
-        let mut t = TimelineMonitor::new();
-        t.job_terminated(&job(0, "a"), &event(0, 5.0, 5.0, true));
-        t.job_terminated(&job(1, "b"), &event(1, 0.0, 10.0, true));
-        assert_eq!(t.peak_concurrency(), 1);
+        assert_eq!(timeline(&[(5.0, 5.0), (0.0, 10.0)]).peak_concurrency(), 1);
     }
 
     #[test]
-    fn multi_monitor_preserves_push_order() {
+    fn sink_slice_preserves_order() {
         use std::cell::RefCell;
-        use std::rc::Rc;
-
-        struct Tagged(&'static str, Rc<RefCell<Vec<String>>>);
-        impl WorkflowMonitor for Tagged {
-            fn job_submitted(&mut self, _job: &ExecutableJob, _attempt: u32, _now: f64) {
-                self.1.borrow_mut().push(format!("{}:submit", self.0));
-            }
-            fn job_terminated(&mut self, _job: &ExecutableJob, _event: &CompletionEvent) {
-                self.1.borrow_mut().push(format!("{}:done", self.0));
-            }
-            fn job_retry(&mut self, _job: &ExecutableJob, _next: u32, _delay: f64, _r: &str) {
-                self.1.borrow_mut().push(format!("{}:retry", self.0));
-            }
-            fn workflow_finished(&mut self, _succeeded: bool, _wall: f64) {
-                self.1.borrow_mut().push(format!("{}:finished", self.0));
+        struct Tagged<'t>(&'static str, &'t RefCell<Vec<String>>);
+        impl EventSink for Tagged<'_> {
+            fn event(&mut self, ev: &WorkflowEvent) {
+                let at = ev.time().unwrap_or(-1.0);
+                self.1.borrow_mut().push(format!("{}@{at}", self.0));
             }
         }
-
-        let tape = Rc::new(RefCell::new(Vec::new()));
-        let mut first = Tagged("first", Rc::clone(&tape));
-        let mut second = Tagged("second", Rc::clone(&tape));
-        {
-            let mut multi = MultiMonitor::new();
-            multi.push(&mut first);
-            multi.push(&mut second);
-            multi.job_submitted(&job(0, "a"), 0, 0.0);
-            multi.job_retry(&job(0, "a"), 1, 1.0, "error");
-            multi.job_terminated(&job(0, "a"), &event(0, 0.0, 3.0, true));
-            multi.workflow_finished(true, 3.0);
-        }
+        let tape = RefCell::new(Vec::new());
+        let sinks: &mut [&mut dyn EventSink] =
+            &mut [&mut Tagged("first", &tape), &mut Tagged("second", &tape)];
+        feed(
+            sinks,
+            &format!("submitted time=0 job=0 attempt=0\ncompleted job=0 attempt=0 {T}"),
+        );
         assert_eq!(
             *tape.borrow(),
-            vec![
-                "first:submit",
-                "second:submit",
-                "first:retry",
-                "second:retry",
-                "first:done",
-                "second:done",
-                "first:finished",
-                "second:finished",
-            ]
+            ["first@0", "second@0", "first@5", "second@5"]
         );
     }
 
     #[test]
-    fn multi_monitor_fans_out() {
+    fn sink_slice_fans_out() {
         let mut status = StatusMonitor::new(1);
         let mut timeline = TimelineMonitor::new();
-        {
-            let mut multi = MultiMonitor::new();
-            multi.push(&mut status);
-            multi.push(&mut timeline);
-            multi.job_submitted(&job(0, "a"), 0, 0.0);
-            multi.job_retry(&job(0, "a"), 1, 2.5, "preempted");
-            multi.job_terminated(&job(0, "a"), &event(0, 0.0, 3.0, true));
-            multi.workflow_finished(true, 3.0);
-        }
+        feed(
+            &mut [&mut status as &mut dyn EventSink, &mut timeline],
+            &format!(
+                "job id=0 kind=compute transformation=t name=a\n\
+                 submitted time=0 job=0 attempt=0\n\
+                 retry-scheduled time=0 job=0 next-attempt=1 backoff=2.5 reason=error detail=x\n\
+                 completed job=0 attempt=0 {T}"
+            ),
+        );
         assert_eq!(status.done, 1);
         assert_eq!(status.retries, 1);
         assert_eq!(status.backoff_wait, 2.5);

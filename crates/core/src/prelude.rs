@@ -13,16 +13,15 @@ pub use crate::breakdown::{BreakdownRow, JobSpan};
 pub use crate::catalog::{ReplicaCatalog, SiteCatalog, TransformationCatalog};
 pub use crate::engine::{
     CompletionEvent, Engine, EngineConfig, EngineConfigBuilder, ExecutionBackend, FaultCounters,
-    FaultReason, JobOutcome, JobState, NoopMonitor, RetryPolicy, WorkflowMonitor, WorkflowOutcome,
-    WorkflowRun,
+    FaultReason, JobOutcome, JobState, NoopMonitor, RetryPolicy, WorkflowOutcome, WorkflowRun,
 };
 pub use crate::ensemble::{
     Ensemble, EnsembleConfig, EnsembleMonitor, EnsembleRun, MemberState, Submission, SubmissionId,
 };
-pub use crate::events::{replay, rescue_from_events, EventSink, MonitorSink, WorkflowEvent};
+pub use crate::events::{replay, rescue_from_events, EventSink, WorkflowEvent};
 pub use crate::graph::Csr;
 pub use crate::metrics::{MetricsMonitor, MetricsRegistry};
-pub use crate::monitor::{MultiMonitor, StatusMonitor, TimelineMonitor};
+pub use crate::monitor::{StatusMonitor, TimelineMonitor};
 pub use crate::planner::{plan, ExecutableJob, ExecutableWorkflow, JobKind, PlannerConfig};
 pub use crate::rescue::RescueDag;
 pub use crate::statistics::{

@@ -60,10 +60,10 @@ use pegasus_wms::analyzer::analyze;
 use pegasus_wms::breakdown;
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
 use pegasus_wms::dax;
-use pegasus_wms::engine::{Engine, EngineConfig, RetryPolicy, WorkflowOutcome};
-use pegasus_wms::events;
+use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, RetryPolicy, WorkflowOutcome};
+use pegasus_wms::events::{self, EventSink};
 use pegasus_wms::metrics::{self, MetricsMonitor, MetricsRegistry};
-use pegasus_wms::monitor::{MultiMonitor, StatusMonitor, TimelineMonitor};
+use pegasus_wms::monitor::{StatusMonitor, TimelineMonitor};
 use pegasus_wms::planner::{plan, PlannerConfig};
 use pegasus_wms::prof;
 use pegasus_wms::rescue::RescueDag;
@@ -1003,7 +1003,7 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     let mut timeline = TimelineMonitor::new();
     let mut metrics_registry = MetricsRegistry::new();
     let n = metrics::n_label(&exec.name, exec.jobs.len());
-    // Under --verify a shadow verifier rides the run as an extra event
+    // Under --verify a shadow verifier rides the run as a fourth event
     // sink and asserts the temporal invariant catalog once the stream
     // completes; findings render to stderr and fail the exit code.
     let mut shadow = args.flag("verify").then(|| {
@@ -1017,14 +1017,14 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     });
     let run = {
         let mut metrics_monitor = MetricsMonitor::new(&mut metrics_registry, site_name, &n);
-        let mut multi = MultiMonitor::new();
-        multi.push(&mut status);
-        multi.push(&mut timeline);
-        multi.push(&mut metrics_monitor);
-        match shadow.as_mut() {
-            Some(sink) => Engine::run_with_sink(&mut backend, &exec, &engine_cfg, &mut multi, sink),
-            None => Engine::run(&mut backend, &exec, &engine_cfg, &mut multi),
-        }
+        let mut no_shadow = NoopMonitor;
+        let shadow: &mut dyn EventSink = match shadow.as_mut() {
+            Some(shadow) => shadow,
+            None => &mut no_shadow,
+        };
+        let mut sinks: [&mut dyn EventSink; 4] =
+            [&mut status, &mut timeline, &mut metrics_monitor, shadow];
+        Engine::run(&mut backend, &exec, &engine_cfg, &mut sinks)
     };
 
     // Under --profile the engine's own wall-clock phases and the

@@ -13,8 +13,8 @@ use gridsim::platforms::osg;
 use gridsim::SimBackend;
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
 use pegasus_wms::engine::{Engine, EngineConfig};
-use pegasus_wms::events::{self, EventSink, MonitorSink, WorkflowEvent};
-use pegasus_wms::monitor::{MultiMonitor, StatusMonitor, TimelineMonitor};
+use pegasus_wms::events::{self, EventSink, WorkflowEvent};
+use pegasus_wms::monitor::{StatusMonitor, TimelineMonitor};
 use pegasus_wms::statistics::{compute, render_csv, render_summary_csv};
 
 /// Compares `content` with its committed golden under
@@ -62,15 +62,12 @@ fn every_consumer_is_a_fold_of_one_event_stream() {
     let mut timeline = TimelineMonitor::new();
     let mut joblog = JobLogMonitor::new();
     let run = {
-        let mut multi = MultiMonitor::new();
-        multi.push(&mut status);
-        multi.push(&mut timeline);
-        multi.push(&mut joblog);
+        let mut sinks: [&mut dyn EventSink; 3] = [&mut status, &mut timeline, &mut joblog];
         Engine::run(
             &mut backend,
             &exec,
             &EngineConfig::builder().retries(20).build(),
-            &mut multi,
+            &mut sinks,
         )
     };
     assert!(run.succeeded());
@@ -111,14 +108,8 @@ fn every_consumer_is_a_fold_of_one_event_stream() {
     // --- live monitors are folds of the stream ----------------------
     let mut status2 = StatusMonitor::new(exec.jobs.len());
     let mut timeline2 = TimelineMonitor::new();
-    {
-        let mut multi = MultiMonitor::new();
-        multi.push(&mut status2);
-        multi.push(&mut timeline2);
-        let mut sink = MonitorSink::new(&exec.jobs, &mut multi);
-        for ev in &parsed {
-            sink.event(ev);
-        }
+    for ev in &parsed {
+        [&mut status2 as &mut dyn EventSink, &mut timeline2].event(ev);
     }
     assert_eq!(status2.history, status.history);
     assert_eq!(status2.done, status.done);
@@ -130,7 +121,7 @@ fn every_consumer_is_a_fold_of_one_event_stream() {
     assert_eq!(timeline2.peak_concurrency(), timeline.peak_concurrency());
 
     // --- the Condor user log is a fold of the stream ----------------
-    let offline_log = JobLogMonitor::from_events(&exec.jobs, &parsed);
+    let offline_log = JobLogMonitor::from_events(&parsed);
     assert_eq!(offline_log.events, joblog.events);
     assert_eq!(offline_log.to_text(), joblog.to_text());
     // Preemptions are machine-initiated, so they log as Condor "004"
