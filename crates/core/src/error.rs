@@ -130,8 +130,8 @@ pub enum WmsError {
     },
     /// An internal runtime invariant was violated.  These were
     /// previously `debug_assert!`s that vanished in release builds;
-    /// they now surface as typed errors so callers (and the event-log
-    /// sanitizer) can detect corrupted state instead of continuing on
+    /// they now surface as typed errors so callers (and the event-stream
+    /// check) can detect corrupted state instead of continuing on
     /// garbage.
     InvariantViolation {
         /// The invariant that was expected to hold.

@@ -195,8 +195,9 @@ impl WorkflowEvent {
         }
     }
 
-    /// The stream-ordering model shared by the `W0709` lint and the
-    /// `E08xx` verifier: the backend time at which the engine *wrote*
+    /// The stream-ordering model behind the `E0808` order check of
+    /// [`crate::verify::check_stream`] (which `pegasus lint --events`
+    /// runs too): the backend time at which the engine *wrote*
     /// this event, for the kinds written in nondecreasing time order.
     ///
     /// Healthy engine streams are not globally monotone over every
@@ -699,8 +700,8 @@ pub mod log {
     }
 
     /// Like [`parse`], but pairs every event with the one-based line
-    /// number it was read from, so the lint sanitizer can point its
-    /// diagnostics at the offending line of the log file.
+    /// number it was read from, so the event-stream check can point
+    /// its diagnostics at the offending line of the log file.
     ///
     /// # Errors
     /// Returns [`WmsError::EventLogParse`] exactly as [`parse`] does.

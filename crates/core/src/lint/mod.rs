@@ -7,9 +7,9 @@
 //! module catches those at plan time the way a compiler front-end
 //! catches type errors: every finding is a typed [`Diagnostic`] with a
 //! stable code (`E01xx` DAX structure, `E02xx`/`W02xx` fault plans,
-//! `E03xx`/`W03xx` configuration feasibility, `E07xx`/`W07xx` event
-//! streams), a [`Severity`], a file/line/col [`Span`], a message, and
-//! an optional `help` note.
+//! `E03xx`/`W03xx` configuration feasibility, `W0707`/`E0708` event-log
+//! intake, `E08xx` event streams), a [`Severity`], a file/line/col
+//! [`Span`], a message, and an optional `help` note.
 //!
 //! Rules live in a static registry ([`RULES`]) with per-rule default
 //! levels that a [`LintConfig`] can override (`allow`/`warn`/`deny`),
@@ -26,9 +26,10 @@
 //!   (unknown site, uninstallable software, timeout below the minimum
 //!   kickstart, retries disabled under faults, slot budget below the
 //!   workflow width).
-//! - [`check_events`]: the event-stream sanitizer — a happens-before
-//!   checker over [`crate::events::log`] streams so replayed
-//!   provenance is validated, not trusted.
+//! - [`check_events`]: the event-stream check — the `pegasus verify`
+//!   invariant catalog ([`crate::verify::check_stream`]) over
+//!   [`crate::events::log`] streams, made tolerant of truncated logs,
+//!   so replayed provenance is validated, not trusted.
 //!
 //! Fault-plan cross-checking ([`E0201`](RULES) etc.) lives in
 //! `gridsim::faults_lint` because `gridsim` owns the `Scenario`
@@ -36,14 +37,56 @@
 
 mod config_pass;
 mod dax_pass;
-mod events_pass;
 
 pub use config_pass::{check_config, RunContext};
 pub use dax_pass::{check_workflow, classify_parse_error, DaxLintOptions};
-pub use events_pass::check_events;
 
-use crate::error::Span;
+use crate::error::{Span, WmsError};
+use crate::events::WorkflowEvent;
+use crate::verify::{check_stream, VerifyOptions};
 use std::fmt;
+
+/// Checks one event stream for `pegasus lint --events`: the `verify`
+/// invariant catalog ([`check_stream`], default options), tolerant of
+/// truncated logs.
+///
+/// `events` pairs each event with its one-based line number in `file`
+/// (from [`crate::events::log::parse_lines`]); streams built in memory
+/// can pass line 0.  A stream with no `workflow-finished` trailer — a
+/// crashed submit host or a still-running run leaves one behind, and
+/// rescue-from-log must keep working on it — has its missing-trailer
+/// `E0806` reported as the `W0707` warning instead.
+pub fn check_events(events: &[(usize, WorkflowEvent)], file: &str) -> Vec<Diagnostic> {
+    let mut diags = check_stream(events, file, &VerifyOptions::default());
+    let closed = events
+        .iter()
+        .any(|(_, ev)| matches!(ev, WorkflowEvent::WorkflowFinished { .. }));
+    if !closed {
+        // Every other `E0806` check needs a trailer, so on an unclosed
+        // stream the only `E0806` is the missing trailer itself.
+        for d in diags.iter_mut().filter(|d| d.code == "E0806") {
+            *d = Diagnostic::new(
+                "W0707",
+                file,
+                d.span,
+                "stream has no workflow-finished: truncated (crashed or still-running) run",
+            )
+            .with_help("rescue-from-log accepts this; statistics over it describe a partial run");
+        }
+    }
+    diags
+}
+
+/// Maps a [`crate::events::log::parse_lines`] failure onto `E0708`,
+/// at the offending line when the reader reports one.
+pub fn classify_event_log_error(err: &WmsError, file: &str) -> Diagnostic {
+    match err {
+        WmsError::EventLogParse { line, reason } => {
+            Diagnostic::new("E0708", file, Span::line(*line), reason.clone())
+        }
+        other => Diagnostic::new("E0708", file, Span::none(), other.to_string()),
+    }
+}
 
 /// How serious a diagnostic is after level resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -294,42 +337,6 @@ pub const RULES: &[Rule] = &[
         summary: "a tenant's in-flight quota is below its narrowest member's width",
     },
     Rule {
-        code: "E0701",
-        name: "workflow-started-misplaced",
-        default: Level::Deny,
-        summary: "the stream does not begin with exactly one workflow-started event",
-    },
-    Rule {
-        code: "E0702",
-        name: "event-after-finish",
-        default: Level::Deny,
-        summary: "events appear after workflow-finished (the stream kept running on a closed run)",
-    },
-    Rule {
-        code: "E0703",
-        name: "lifecycle-order",
-        default: Level::Deny,
-        summary: "a job event violates the submitted -> started -> terminal order",
-    },
-    Rule {
-        code: "E0704",
-        name: "nonmonotone-timestamps",
-        default: Level::Deny,
-        summary: "a job's timestamps go backwards",
-    },
-    Rule {
-        code: "E0705",
-        name: "retry-accounting",
-        default: Level::Deny,
-        summary: "a resubmission is not accounted for by a retry-scheduled event",
-    },
-    Rule {
-        code: "E0706",
-        name: "undeclared-job",
-        default: Level::Deny,
-        summary: "an event references a job id the stream never declared",
-    },
-    Rule {
         code: "W0707",
         name: "truncated-stream",
         default: Level::Warn,
@@ -340,12 +347,6 @@ pub const RULES: &[Rule] = &[
         name: "event-log-syntax",
         default: Level::Deny,
         summary: "the event log is not syntactically valid",
-    },
-    Rule {
-        code: "W0709",
-        name: "nonmonotone-stream",
-        default: Level::Warn,
-        summary: "emission-ordered events go backwards in time (reordered or merged stream)",
     },
     Rule {
         code: "E0801",
@@ -637,21 +638,23 @@ const RANGES: &[(&str, &str)] = &[
     ),
     (
         "E07",
-        "Event-stream sanitation: the happens-before checker run before \
-         provenance replay — framing, lifecycle order, per-job timestamp \
-         monotonicity, retry accounting, declaration coverage. Emitted by \
-         `check_events`.",
+        "Event-log intake: what `pegasus lint --events` and `pegasus verify` \
+         report about a log before or instead of the E08xx catalog — a log \
+         that does not parse (E0708, from `classify_event_log_error`), and, \
+         under lint only, a stream with no workflow-finished trailer (W0707, \
+         from `check_events`), which verify reports as E0806.",
     ),
     (
         "E08",
         "Temporal invariants (pegasus verify, layer 1): the LTL-lite \
-         invariant catalog over complete event streams — every submission \
-         reaches a terminal, attempts increase densely, phases precede one \
-         another, concurrency never exceeds the site's slots, retry gaps \
-         respect the backoff/jitter envelope, the trailer agrees with the \
-         stream, trace ids match the journal. Emitted by \
-         `verify::check_stream`; strictly stronger than E07xx, which stays \
-         lenient for crashed/partial logs.",
+         invariant catalog over event streams — framing and declared ids, \
+         every submission reaches a terminal, attempts increase densely, \
+         phases precede one another, emission times never go backwards, \
+         concurrency never exceeds the site's slots, retry gaps respect the \
+         backoff/jitter envelope, the trailer agrees with the stream, trace \
+         ids match the journal. Emitted by `verify::check_stream`, which \
+         `pegasus lint --events` runs too; only lint tolerates a missing \
+         trailer.",
     ),
 ];
 
@@ -833,6 +836,12 @@ mod tests {
         for r in RULES {
             assert!(list.contains(r.code) && list.contains(r.name), "{}", r.code);
         }
+    }
+
+    #[test]
+    fn empty_event_stream_is_a_framing_error_not_a_truncation() {
+        let diags = check_events(&[], "run.events");
+        assert_eq!(diags.iter().map(|d| d.code).collect::<Vec<_>>(), ["E0807"]);
     }
 
     #[test]

@@ -22,12 +22,13 @@
 //! respect the configured backoff/jitter envelope, nothing follows
 //! `workflow-finished`, and the trailer's verdict matches the stream.
 //!
-//! Unlike the lenient event-stream *sanitizer* (`E07xx`,
-//! [`crate::lint::check_events`]), which tolerates truncated logs so
-//! rescue-from-log keeps working, the verifier enforces the
-//! complete-log contract: a missing trailer is an error here.  Both
-//! passes share one stream-ordering model,
-//! [`WorkflowEvent::emission_time`], so they cannot drift.
+//! This is the only event-stream checker: `pegasus lint --events` runs
+//! it too, through [`crate::lint::check_events`], which differs in one
+//! way only — it reports a missing trailer as the `W0707` warning, so
+//! crashed or still-running logs pass lint and rescue-from-log keeps
+//! working on them.  `pegasus verify` enforces the complete-log
+//! contract: a missing trailer is an `E0806` error here.  Stream order
+//! follows one model, [`WorkflowEvent::emission_time`].
 //!
 //! **Layer 2 — whole-plan dataflow (`E06xx`, [`check_plan`] /
 //! [`check_ensemble_feasibility`]).**  Abstract interpretation over
@@ -473,7 +474,7 @@ pub fn check_stream(
             WorkflowEvent::Completed { attempt, times, .. }
             | WorkflowEvent::Failed { attempt, times, .. }
             | WorkflowEvent::TimedOut { attempt, times, .. } => {
-                check_terminal(&mut diags, file, line, ev, job, *attempt, times, st, opts);
+                check_terminal(&mut diags, file, line, ev, job, *attempt, times, st);
                 intervals.push((times.started, 1, line));
                 intervals.push((times.finished, -1, line));
             }
@@ -565,14 +566,6 @@ pub fn check_stream(
         ));
         return diags;
     };
-    if decl_next != declared {
-        diags.push(Diagnostic::new(
-            "E0807",
-            file,
-            at(events[0].0),
-            format!("manifest declares {decl_next} jobs, but workflow-started says {declared}"),
-        ));
-    }
 
     match finished {
         None => {
@@ -591,6 +584,18 @@ pub fn check_stream(
             );
         }
         Some((fline, ftime, succeeded, wall)) => {
+            // Only a closed stream owes the whole manifest: a log cut
+            // inside it is truncated, not miscounted.
+            if decl_next != declared {
+                diags.push(Diagnostic::new(
+                    "E0807",
+                    file,
+                    at(events[0].0),
+                    format!(
+                        "manifest declares {decl_next} jobs, but workflow-started says {declared}"
+                    ),
+                ));
+            }
             if wall != ftime - start {
                 diags.push(Diagnostic::new(
                     "E0806",
@@ -684,7 +689,6 @@ fn check_terminal(
     attempt: u32,
     times: &JobTimes,
     st: &mut JobVState,
-    _opts: &VerifyOptions,
 ) {
     let a = st.attempts.entry(attempt).or_default();
     if a.submitted.is_none() {
@@ -1442,6 +1446,34 @@ workflow-finished time=6 wall-time=6 succeeded=true
         assert!(codes(&verify_text(&miscounted)).contains(&"E0807"));
         let dropped_decl = CLEAN.replace("job id=0 kind=compute transformation=split name=a\n", "");
         assert!(codes(&verify_text(&dropped_decl)).contains(&"E0807"));
+        let empty = check_stream(&[], "run.events", &VerifyOptions::default());
+        assert_eq!(codes(&empty), ["E0807"]);
+        // Cut inside the manifest: truncated (E0806), not miscounted.
+        let cut: String = CLEAN.lines().take(2).map(|l| format!("{l}\n")).collect();
+        assert_eq!(codes(&verify_text(&cut)), ["E0806"]);
+    }
+
+    #[test]
+    fn reordered_stream_is_flagged_as_nonmonotone() {
+        // Two jobs whose emission-ordered events were merged out of
+        // order: job 1's submission (time=2) appears after job 0's
+        // completion (finished=9).  Each job is individually clean, so
+        // only the stream-order check can catch this.
+        let text = "\
+workflow-started time=0 jobs=2 site=osg name=w
+job id=0 kind=compute transformation=split name=a
+job id=1 kind=compute transformation=split name=b
+submitted time=0 job=0 attempt=0
+started time=1 job=0 attempt=0
+completed job=0 attempt=0 submitted=0 started=1 install-done=1 finished=9
+submitted time=2 job=1 attempt=0
+started time=3 job=1 attempt=0
+completed job=1 attempt=0 submitted=2 started=3 install-done=3 finished=12
+workflow-finished time=12 wall-time=12 succeeded=true
+";
+        let diags = verify_text(text);
+        assert_eq!(codes(&diags), ["E0808"]);
+        assert_eq!(diags[0].span.line, 7);
     }
 
     #[test]

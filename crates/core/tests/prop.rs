@@ -15,6 +15,7 @@ use pegasus_wms::rescue::RescueDag;
 use pegasus_wms::serve;
 use pegasus_wms::statistics::{compute, render_summary_csv};
 use pegasus_wms::symbols::{FileId, SymbolTable};
+use pegasus_wms::verify::{self, VerifyOptions};
 use pegasus_wms::workflow::JobId;
 use pegasus_wms::workflow::{AbstractWorkflow, Job, LogicalFile};
 use proptest::prelude::*;
@@ -575,9 +576,13 @@ proptest! {
         }
     }
 
-    /// The sanitizer accepts what the engine emits: for any workflow
-    /// shape, fail plan, and retry budget — success or failure — the
-    /// written log parses back and sanitizes with zero diagnostics.
+    /// The event-stream check accepts what the engine emits: for any
+    /// workflow shape, fail plan, and retry budget — success or
+    /// failure — the written log parses back clean under both `lint`
+    /// and `verify`.  Cut at any event boundary, it is a truncated
+    /// stream and nothing else: lint says exactly `W0707`, verify
+    /// includes the missing-trailer `E0806`.  That is the only
+    /// difference between the two verbs.
     #[test]
     fn sanitizer_accepts_every_engine_event_stream(
         layers in 1usize..4,
@@ -612,6 +617,22 @@ proptest! {
         let parsed = events::log::parse_lines(&text).unwrap();
         let diags = lint::check_events(&parsed, "run.events");
         prop_assert!(diags.is_empty(), "{}", lint::render_text(&diags));
+        let diags = verify::check_stream(&parsed, "run.events", &VerifyOptions::default());
+        prop_assert!(diags.is_empty(), "{}", lint::render_text(&diags));
+
+        for cut in 1..parsed.len() {
+            let prefix = &parsed[..cut];
+            let diags = lint::check_events(prefix, "run.events");
+            let codes: Vec<_> = diags.iter().map(|d| d.code).collect();
+            prop_assert_eq!(codes, ["W0707"], "cut at {}: {}", cut, lint::render_text(&diags));
+            let diags = verify::check_stream(prefix, "run.events", &VerifyOptions::default());
+            prop_assert!(
+                diags.iter().any(|d| d.code == "E0806"),
+                "cut at {}: {}",
+                cut,
+                lint::render_text(&diags)
+            );
+        }
     }
 
     #[test]

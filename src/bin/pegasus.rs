@@ -119,16 +119,38 @@ fn default_replicas() -> ReplicaCatalog {
     rc
 }
 
+/// Reads a whole input file, or exits 1 with `cannot read <what>
+/// <path>: <error>` (just `<path>` when `what` is empty).
+fn read_or_exit(what: &str, path: impl AsRef<std::path::Path>) -> String {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        if what.is_empty() {
+            eprintln!("cannot read {}: {e}", path.display());
+        } else {
+            eprintln!("cannot read {what} {}: {e}", path.display());
+        }
+        std::process::exit(1);
+    })
+}
+
+/// The `--fault-plan` script seeded for this run, if one was given;
+/// exits 1 when the plan cannot be read or parsed.
+fn fault_script(args: &Args, seed: u64) -> Option<FaultScript> {
+    let path = args.get("fault-plan")?;
+    let plan = FaultPlan::parse(&read_or_exit("fault plan", path)).unwrap_or_else(|e| {
+        eprintln!("bad fault plan {path}: {e}");
+        std::process::exit(1);
+    });
+    Some(FaultScript::new(plan, seed))
+}
+
 /// The site registry every verb resolves `--site` against: the
 /// built-in paper sites, or the `--sites <file>` definitions replacing
 /// them wholesale.
 fn load_registry(args: &Args) -> SiteRegistry {
     match args.get("sites") {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read site definitions {path}: {e}");
-                std::process::exit(1);
-            });
+            let text = read_or_exit("site definitions", path);
             SiteRegistry::parse(&text).unwrap_or_else(|e| {
                 eprintln!("cannot load site definitions {path}: {e}");
                 eprintln!("(run `pegasus lint <dax> --sites {path}` for the full report)");
@@ -161,10 +183,7 @@ fn load_catalogs(
 ) {
     match args.get("catalog") {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read catalog {path}: {e}");
-                std::process::exit(1);
-            });
+            let text = read_or_exit("catalog", path);
             let bundle = pegasus_wms::catalog_io::parse(&text).unwrap_or_else(|e| {
                 eprintln!("cannot parse catalog {path}: {e}");
                 std::process::exit(1);
@@ -200,11 +219,7 @@ fn cmd_catalogs(args: &Args) -> ExitCode {
 }
 
 fn load_dax(path: &str) -> pegasus_wms::workflow::AbstractWorkflow {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    dax::from_dax(&text).unwrap_or_else(|e| {
+    dax::from_dax(&read_or_exit("", path)).unwrap_or_else(|e| {
         eprintln!("cannot parse {path}: {e}");
         std::process::exit(1);
     })
@@ -352,11 +367,7 @@ fn ascii_dag(exec: &pegasus_wms::planner::ExecutableWorkflow) -> String {
 /// [`pegasus_wms::engine::WorkflowRun`] — the offline half of the
 /// `--events` / `--from-events` round trip.
 fn replay_run(path: &str) -> pegasus_wms::engine::WorkflowRun {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read event log {path}: {e}");
-        std::process::exit(1);
-    });
-    let evs = events::log::parse(&text).unwrap_or_else(|e| {
+    let evs = events::log::parse(&read_or_exit("event log", path)).unwrap_or_else(|e| {
         eprintln!("bad event log {path}: {e}");
         std::process::exit(1);
     });
@@ -448,11 +459,7 @@ fn parse_event_logs(list: &str) -> Vec<Vec<pegasus_wms::events::WorkflowEvent>> 
     list.split(',')
         .map(|path| {
             let path = path.trim();
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read event log {path}: {e}");
-                std::process::exit(1);
-            });
-            events::log::parse(&text).unwrap_or_else(|e| {
+            events::log::parse(&read_or_exit("event log", path)).unwrap_or_else(|e| {
                 eprintln!("bad event log {path}: {e}");
                 std::process::exit(1);
             })
@@ -599,7 +606,7 @@ fn cmd_metrics(args: &Args) -> ExitCode {
 /// Gathers every lint diagnostic the given flags make checkable: the
 /// DAX passes always, the config pass when `--site`/`--slots` is
 /// given, the fault-plan pass per `--fault-plan`, and (only when
-/// `include_event_logs`) the sanitizer per `--events`. The event-log
+/// `include_event_logs`) the event-stream check per `--events`. The event-log
 /// pass is opt-in because `run` uses `--events` as an *output* path.
 fn collect_lint(
     args: &Args,
@@ -617,10 +624,7 @@ fn collect_lint(
     // built-ins so the remaining passes still run.
     let registry = match args.get("sites") {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read site definitions {path}: {e}");
-                std::process::exit(1);
-            });
+            let text = read_or_exit("site definitions", path);
             match gridsim::sites::parse_defs(&text) {
                 Ok(defs) => {
                     diags.extend(gridsim::lint_sites(&defs, path, Some(&text)));
@@ -638,10 +642,7 @@ fn collect_lint(
     };
     let (sites, tc, _rc) = load_catalogs(args, &registry);
 
-    let text = std::fs::read_to_string(dax_path).unwrap_or_else(|e| {
-        eprintln!("cannot read {dax_path}: {e}");
-        std::process::exit(1);
-    });
+    let text = read_or_exit("", dax_path);
     // The unvalidated parse keeps cyclic or conflicted workflows
     // alive so the structural pass can report the full story instead
     // of stopping at the first validation error.
@@ -693,10 +694,7 @@ fn collect_lint(
 
     if let Some(list) = args.get("fault-plan") {
         for path in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let ptext = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read fault plan {path}: {e}");
-                std::process::exit(1);
-            });
+            let ptext = read_or_exit("fault plan", path);
             match FaultPlan::parse(&ptext) {
                 Ok(plan) => {
                     let ctx = gridsim::PlanLintContext {
@@ -724,18 +722,9 @@ fn collect_lint(
     if include_event_logs {
         if let Some(list) = args.get("events") {
             for path in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                let etext = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                    eprintln!("cannot read event log {path}: {e}");
-                    std::process::exit(1);
-                });
-                match events::log::parse_lines(&etext) {
+                match events::log::parse_lines(&read_or_exit("event log", path)) {
                     Ok(pairs) => diags.extend(lint::check_events(&pairs, path)),
-                    Err(WmsError::EventLogParse { line, reason }) => {
-                        diags.push(Diagnostic::new("E0708", path, Span::line(line), reason));
-                    }
-                    Err(e) => {
-                        diags.push(Diagnostic::new("E0708", path, Span::none(), e.to_string()));
-                    }
+                    Err(e) => diags.push(lint::classify_event_log_error(&e, path)),
                 }
             }
         }
@@ -960,17 +949,7 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
         .seed(seed)
         .build();
 
-    let script = args.get("fault-plan").map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read fault plan {path}: {e}");
-            std::process::exit(1);
-        });
-        let plan = FaultPlan::parse(&text).unwrap_or_else(|e| {
-            eprintln!("bad fault plan {path}: {e}");
-            std::process::exit(1);
-        });
-        FaultScript::new(plan, seed)
-    });
+    let script = fault_script(args, seed);
     // A scripted submit-host crash is a one-time event: the rescue
     // resubmission runs on the recovered host, so it only arms on the
     // initial submission, never on --resume.
@@ -981,11 +960,11 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     }
 
     if let Some(rescue_path) = args.get("resume") {
-        let text = std::fs::read_to_string(rescue_path).expect("read rescue");
-        let rescue = RescueDag::from_text(&text).unwrap_or_else(|e| {
-            eprintln!("bad rescue file: {e}");
-            std::process::exit(1);
-        });
+        let rescue = RescueDag::from_text(&read_or_exit("rescue file", rescue_path))
+            .unwrap_or_else(|e| {
+                eprintln!("bad rescue file: {e}");
+                std::process::exit(1);
+            });
         engine_cfg.skip_done = rescue.done.iter().cloned().collect();
         if !csv_only {
             println!(
@@ -1125,10 +1104,7 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
 /// trace id from the `# trace id=…` header comment when present — the
 /// offline half of the `pegasus trace` round trip.
 fn fold_trace_log(path: &str) -> trace::WorkflowTrace {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read event log {path}: {e}");
-        std::process::exit(1);
-    });
+    let text = read_or_exit("event log", path);
     let id = trace::trace_from_log(&text);
     let evs = events::log::parse(&text).unwrap_or_else(|e| {
         eprintln!("bad event log {path}: {e}");
@@ -1163,38 +1139,7 @@ fn cmd_trace(args: &Args) -> ExitCode {
             traces.push(fold_trace_log(path));
         }
     } else if let Some(dir) = args.get("events-dir") {
-        let dir = std::path::Path::new(dir);
-        let members = dir.join("members");
-        let scan = if members.is_dir() {
-            members
-        } else {
-            dir.to_path_buf()
-        };
-        let mut paths: Vec<std::path::PathBuf> = match std::fs::read_dir(&scan) {
-            Ok(entries) => entries
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "events"))
-                .collect(),
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", scan.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        // Shortest-name-first sorts m2 before m10: member-id order.
-        paths.sort_by_key(|p| {
-            let name = p
-                .file_name()
-                .unwrap_or_default()
-                .to_string_lossy()
-                .into_owned();
-            (name.len(), name)
-        });
-        if paths.is_empty() {
-            eprintln!("no .events logs under {}", scan.display());
-            return ExitCode::FAILURE;
-        }
-        for path in paths {
+        for path in member_logs(std::path::Path::new(dir)) {
             traces.push(fold_trace_log(&path.to_string_lossy()));
         }
     } else {
@@ -1207,18 +1152,7 @@ fn cmd_trace(args: &Args) -> ExitCode {
             .policy(retry_policy_from(args, retries))
             .seed(seed)
             .build();
-        let script = args.get("fault-plan").map(|path| {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read fault plan {path}: {e}");
-                std::process::exit(1);
-            });
-            let plan = FaultPlan::parse(&text).unwrap_or_else(|e| {
-                eprintln!("bad fault plan {path}: {e}");
-                std::process::exit(1);
-            });
-            FaultScript::new(plan, seed)
-        });
-        let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, script);
+        let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, fault_script(args, seed));
         // The same derivation the serve daemon applies at admission:
         // a single ad-hoc run is submission 0 under its seed.
         let id = TraceId::derive(seed, 0);
@@ -1259,14 +1193,10 @@ fn cmd_trace(args: &Args) -> ExitCode {
     }
 }
 
-/// Collects every member event log of a serve state directory (or any
-/// directory of `.events` logs), member-id order, pairing each with
-/// its journaled trace id when the directory carries a journal — the
-/// pairing that arms the `E0809` cross-check.
-fn collect_member_streams(
-    dir: &std::path::Path,
-    streams: &mut Vec<(String, String, Option<TraceId>)>,
-) {
+/// The `.events` logs of a serve state directory's `members/`
+/// subdirectory (or of `dir` itself when it has none), in member-id
+/// order; exits 1 when the directory cannot be read or holds no logs.
+fn member_logs(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     let members = dir.join("members");
     let scan = if members.is_dir() {
         members
@@ -1297,15 +1227,23 @@ fn collect_member_streams(
         eprintln!("no .events logs under {}", scan.display());
         std::process::exit(1);
     }
+    paths
+}
+
+/// Collects every member event log of a serve state directory (or any
+/// directory of `.events` logs), member-id order, pairing each with
+/// its journaled trace id when the directory carries a journal — the
+/// pairing that arms the `E0809` cross-check.
+fn collect_member_streams(
+    dir: &std::path::Path,
+    streams: &mut Vec<(String, String, Option<TraceId>)>,
+) {
+    let paths = member_logs(dir);
     // The journal records the trace id every member log header must
     // carry; replaying it recovers the expected ids.
     let journal = dir.join("journal");
     let traces: Vec<Option<TraceId>> = if journal.is_file() {
-        let text = std::fs::read_to_string(&journal).unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", journal.display());
-            std::process::exit(1);
-        });
-        match pegasus_wms::serve::Ledger::replay(&text) {
+        match pegasus_wms::serve::Ledger::replay(&read_or_exit("", &journal)) {
             Ok(ledger) => ledger.submissions.iter().map(|s| s.trace).collect(),
             Err(e) => {
                 eprintln!("corrupt journal {}: {e}", journal.display());
@@ -1327,10 +1265,7 @@ fn collect_member_streams(
             .and_then(|rest| rest.strip_suffix(".events"))
             .and_then(|id| id.parse::<usize>().ok())
             .and_then(|id| traces.get(id).copied().flatten());
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read event log {}: {e}", path.display());
-            std::process::exit(1);
-        });
+        let text = read_or_exit("event log", &path);
         streams.push((path.to_string_lossy().into_owned(), text, expected));
     }
 }
@@ -1434,16 +1369,10 @@ fn cmd_verify(args: &Args) -> ExitCode {
     }
 
     // Layer 1 stream sources: (label, raw text, journaled trace id).
-    let read = |path: &str| -> String {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read event log {path}: {e}");
-            std::process::exit(1);
-        })
-    };
     let mut streams: Vec<(String, String, Option<TraceId>)> = Vec::new();
     if let Some(list) = args.get("from-events") {
         for path in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            streams.push((path.to_string(), read(path), None));
+            streams.push((path.to_string(), read_or_exit("event log", path), None));
         }
     } else if let Some(dir) = args.get("events-dir") {
         collect_member_streams(std::path::Path::new(dir), &mut streams);
@@ -1461,17 +1390,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
                     .policy(retry_policy_from(args, retries))
                     .seed(seed)
                     .build();
-                let script = args.get("fault-plan").map(|path| {
-                    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                        eprintln!("cannot read fault plan {path}: {e}");
-                        std::process::exit(1);
-                    });
-                    let plan = FaultPlan::parse(&text).unwrap_or_else(|e| {
-                        eprintln!("bad fault plan {path}: {e}");
-                        std::process::exit(1);
-                    });
-                    FaultScript::new(plan, seed)
-                });
+                let script = fault_script(args, seed);
                 let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, script);
                 // A live run always knows its policy: arm the envelope.
                 opts.retry = Some(retry_policy_from(args, retries));
@@ -1496,22 +1415,21 @@ fn cmd_verify(args: &Args) -> ExitCode {
             [p] if std::path::Path::new(p).is_dir() => {
                 collect_member_streams(std::path::Path::new(p), &mut streams);
             }
-            [p] => streams.push((p.clone(), read(p), None)),
+            [p] => streams.push((p.clone(), read_or_exit("event log", p), None)),
             _ => args.bail("verify takes at most one <events-or-dir>"),
         }
     }
 
     let mut total_events = 0usize;
     for (label, text, expected) in &streams {
-        let evs = match events::log::parse_lines(text) {
-            Ok(evs) => evs,
-            Err(e) => {
-                eprintln!("bad event log {label}: {e}");
-                return ExitCode::FAILURE;
+        // An unparsable log is one finding, not the end of the run.
+        match events::log::parse_lines(text) {
+            Ok(evs) => {
+                total_events += evs.len();
+                diags.extend(verify::check_stream(&evs, label, &opts));
             }
-        };
-        total_events += evs.len();
-        diags.extend(verify::check_stream(&evs, label, &opts));
+            Err(e) => diags.push(lint::classify_event_log_error(&e, label)),
+        }
         if let Some(exp) = expected {
             diags.extend(verify::check_trace_match(
                 trace::trace_from_log(text),

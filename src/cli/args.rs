@@ -449,7 +449,7 @@ pub const VERBS: &[Verb] = &[
             common::SITES,
             common::CATALOG,
             opt("fault-plan", "file,...", "fault plans to lint"),
-            opt("events", "file,...", "event logs to sanitize"),
+            opt("events", "file,...", "event logs to check"),
             common::RETRIES,
             common::BACKOFF,
             common::TIMEOUT,

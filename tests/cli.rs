@@ -107,6 +107,50 @@ fn pegasus_failure_rescue_resume_session() {
 }
 
 #[test]
+fn pegasus_resume_from_a_missing_rescue_file_exits_1_with_a_message() {
+    let out = pegasus()
+        .args(["run", "--dax", "tests/fixtures/lint/clean_small.dax"])
+        .args(["--site", "sandhills", "--quiet"])
+        .args(["--resume", "no/such/dir/wf.rescue"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.starts_with("cannot read rescue file no/such/dir/wf.rescue: "),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn pegasus_verify_reports_an_unparsable_log_and_keeps_going() {
+    let out = pegasus()
+        .args(["verify", "--from-events"])
+        .arg(
+            "tests/fixtures/lint/e0703_completed_before_started.events,\
+             tests/fixtures/lint/e0708_syntax.events",
+        )
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("error[E0803]"), "{stdout}");
+    assert!(
+        stdout.contains("error[E0708]: unknown event keyword \"wibble\""),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("--> tests/fixtures/lint/e0708_syntax.events:4\n"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.ends_with("verify: 2 stream(s), 5 event(s), 2 finding(s)\n"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn pegasus_statistics_emits_csv() {
     let dir = tmpdir("stats");
     let dax = dir.join("wf.dax");
