@@ -1446,11 +1446,15 @@ workflow-finished time=6 wall-time=6 succeeded=true
         assert!(codes(&verify_text(&miscounted)).contains(&"E0807"));
         let dropped_decl = CLEAN.replace("job id=0 kind=compute transformation=split name=a\n", "");
         assert!(codes(&verify_text(&dropped_decl)).contains(&"E0807"));
-        let empty = check_stream(&[], "run.events", &VerifyOptions::default());
-        assert_eq!(codes(&empty), ["E0807"]);
         // Cut inside the manifest: truncated (E0806), not miscounted.
         let cut: String = CLEAN.lines().take(2).map(|l| format!("{l}\n")).collect();
         assert_eq!(codes(&verify_text(&cut)), ["E0806"]);
+    }
+
+    #[test]
+    fn empty_stream_is_an_error() {
+        let empty = check_stream(&[], "run.events", &VerifyOptions::default());
+        assert_eq!(codes(&empty), ["E0807"]);
     }
 
     #[test]
